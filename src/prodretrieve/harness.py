@@ -199,7 +199,7 @@ def coordinator_run(
     results, report = merge_shard_results(manifest.shards, job_dir)
     if fail_policy == "strict" and not report.ok:
         raise ShardsMissing(
-            f"shards {sorted(report.reasons)} missing or corrupt"
+            f"shards {sorted(report.reasons)} missing, corrupt or stale"
         )
     return results, report
 

@@ -1,10 +1,10 @@
 """k-reciprocal re-ranking and the file-based sharding primitives around it.
 
-The re-ranker refines an initial cosine-distance matrix using mutual
-nearest-neighbor evidence over the joint query+gallery set:
+The re-ranker refines the cosine distance using mutual nearest-neighbor
+evidence over the joint query+gallery set P of n items:
 
- 1. all-pairs original distance d over the joint set P
- 2. N(p,k) = k nearest neighbors of p in P (excluding p);
+ 1. original distance d over P
+ 2. N(p,k) = k nearest neighbors of p in P (excluding p, ties by index);
     R(p,k) = mutual subset {g in N(p,k) : p in N(g,k)}
  3. expansion: R*(p,k1) adds R(c, ceil(k1/2)) for each c in R(p,k1) whose
     half-size reciprocal set overlaps R(p,k1) by at least two thirds
@@ -12,6 +12,19 @@ nearest-neighbor evidence over the joint query+gallery set:
  5. local query expansion: V_p <- mean of V_q over {p} union N(p,k2)
  6. weighted Jaccard distance dJ = 1 - sum(min)/sum(max)
  7. final distance (1-lambda)*dJ + lambda*d, reported for query x gallery
+
+No n x n array is ever built. d is streamed twice in the fixed
+QUERY_BLOCK-row blocks of `search`, so each distance has the bits
+`pairwise_cosine_distance` gives it: the first pass keeps the top-k1 lists
+N(p,k1), the second gathers d on R*(p,k1) and on the reported rows. The
+reciprocal sets and the expansion work on sorted flat keys p*n+g; V and its
+query expansion are CSR arrays, and the expansion sums each group in the
+order the dense mean over {p} + N(p,k2) does. The Jaccard step walks an
+inverted index over the gallery rows' columns and takes
+sum(max) = |v_q|_1 + |v_g|_1 - sum(min), the trick of Zhong et al.,
+"Re-ranking Person Re-identification with k-reciprocal Encoding"
+(CVPR 2017). Besides the len(query_rows) x n_gallery output, memory is
+O(QUERY_BLOCK*n + n*k1^2 + k2*nnz(V)), where nnz(V) <= n*k1*(1 + ceil(k1/2)).
 
 Large jobs are split by query index modulo the shard count; every shard
 recomputes the shared neighbor structures identically, so merged results
@@ -28,11 +41,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed_store import EmbeddingSet
-from .errors import InvalidParams, TooFewItems
+from .errors import CorruptShard, InvalidParams, TooFewItems
 from .search import (
     DistanceMatrix,
     RankingList,
-    pairwise_cosine_distance,
+    _check_pair,
+    _distance_block,
+    _map_blocks,
     ranking_from_json,
     ranking_to_json,
 )
@@ -59,15 +74,81 @@ class RerankParams:
             raise InvalidParams(f"lambda must be in [0,1], got {self.lam}")
 
 
-def _reciprocal_sets(order: np.ndarray, rank: np.ndarray, k: int) -> list:
-    """R(p,k) for every probe, as sorted index arrays."""
-    n = order.shape[0]
-    out = []
-    for p in range(n):
-        neigh = order[p, :k]
-        mutual = neigh[rank[neigh, p] < k]
-        out.append(np.sort(mutual))
-    return out
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """Start of each of the n groups once `rows` is sorted (a CSR pointer)."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated aranges [s, s+l) for each start s and length l."""
+    idx = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    idx += np.arange(idx.size)
+    return idx
+
+
+def _in_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Membership of each probe in the sorted, non-empty array `keys`."""
+    pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+    return keys[pos] == probe
+
+
+def _top_k(block: np.ndarray, start: int, k: int) -> np.ndarray:
+    """Per block row, the k nearest other items ordered by (distance, index).
+
+    Every column tied with the k-th distance is kept until the sort, so the
+    order is the one a stable full argsort gives.
+    """
+    rows = np.arange(len(block))
+    block[rows, start + rows] = np.inf
+    kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(block <= kth[:, None])
+    order = np.lexsort((c, block[r, c], r))
+    counts = np.bincount(r, minlength=len(block))
+    take = (np.cumsum(counts) - counts)[:, None] + np.arange(k)
+    return c[order][take]
+
+
+def _reciprocal_keys(nbr: np.ndarray, k: int) -> np.ndarray:
+    """Sorted keys p*n+g of R(p,k) for every probe p."""
+    n = len(nbr)
+    heads = nbr[:, :k]
+    probes = np.arange(n)[:, None]
+    keys = probes * n + heads
+    mutual = _in_sorted(np.sort(keys.ravel()), heads * n + probes)
+    return np.sort(keys[mutual])
+
+
+def _expanded_keys(nbr: np.ndarray, k1: int) -> np.ndarray:
+    """Sorted keys p*n+g of R*(p,k1) for every probe p."""
+    n = len(nbr)
+    full = _reciprocal_keys(nbr, k1)
+    half_rows, half_cols = np.divmod(_reciprocal_keys(nbr, math.ceil(k1 / 2)), n)
+    half_ptr = _indptr(half_rows, n)
+    probe, cand = np.divmod(full, n)
+    sizes = np.diff(half_ptr)[cand]
+    idx = _ranges(half_ptr[cand], sizes)
+    pair = np.repeat(np.arange(full.size), sizes)
+    added = probe[pair] * n + half_cols[idx]
+    overlap = np.bincount(pair[_in_sorted(full, added)], minlength=full.size)
+    accepted = overlap >= EXPANSION_OVERLAP * sizes
+    return np.unique(np.concatenate((full, added[accepted[pair]])))
+
+
+def _query_expansion(nbr: np.ndarray, k2: int, rows, cols, v):
+    """Mean of the CSR rows of V over {p} + N(p,k2), per probe p.
+
+    The entries stay in group order [p] + N(p,k2), so bincount adds each
+    column in the order a dense mean over the group's rows does.
+    """
+    n, width = len(nbr), k2 + 1
+    indptr = _indptr(rows, n)
+    group = np.hstack((np.arange(n)[:, None], nbr[:, :k2])).ravel()
+    lengths = np.diff(indptr)[group]
+    idx = _ranges(indptr[group], lengths)
+    owner = np.repeat(np.arange(n) * n, lengths.reshape(n, width).sum(axis=1))
+    keys, inverse = np.unique(owner + cols[idx], return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    return rows, cols, np.bincount(inverse, weights=v[idx]) / width
 
 
 def kreciprocal_rerank(
@@ -81,68 +162,69 @@ def kreciprocal_rerank(
 
     `query_rows` restricts the reported rows; the neighbor structures are
     always computed over the full joint set, so any row of a restricted
-    run is bit-identical to the same row of a full run.
+    run is bit-identical to the same row of a full run. `threads` spreads
+    the distance blocks over threads without changing any output byte.
     """
     nq, ng = len(query_feats), len(gallery_feats)
     n = nq + ng
     if n <= params.k1:
         raise TooFewItems(f"joint set of {n} items needs > k1={params.k1}")
-    if query_rows is None:
-        query_rows = range(nq)
-    query_rows = list(query_rows)
+    qrows = np.arange(nq)
+    if query_rows is not None:
+        qrows = qrows[np.asarray(list(query_rows), dtype=np.intp)]
+    _check_pair(query_feats, gallery_feats)
+    vecs = np.vstack([query_feats.vectors, gallery_feats.vectors])
+    vt = vecs.T
 
-    joint = EmbeddingSet(
-        ids=tuple(f"q#{i}" for i in range(nq)) + tuple(f"g#{j}" for j in range(ng)),
-        vectors=np.vstack([query_feats.vectors, gallery_feats.vectors]),
+    # pass 1: the top-k1 lists N(p,k1)
+    nbr = np.concatenate(_map_blocks(
+        lambda s: _top_k(_distance_block(vecs, vt, s), s, params.k1), n, threads
+    ))
+    rows, cols = np.divmod(_expanded_keys(nbr, params.k1), n)
+    indptr = _indptr(rows, n)
+
+    # pass 2: d on R*(p,k1) for every p, and on the reported query rows
+    d_v = np.empty(rows.size, dtype=np.float32)
+    out = np.empty((qrows.size, ng), dtype=np.float32)
+
+    def gather(start):
+        block = _distance_block(vecs, vt, start)
+        stop = start + len(block)
+        lo, hi = indptr[start], indptr[stop]
+        d_v[lo:hi] = block[rows[lo:hi] - start, cols[lo:hi]]
+        sel = np.nonzero((qrows >= start) & (qrows < stop))[0]
+        out[sel] = block[qrows[sel] - start, nq:]
+
+    _map_blocks(gather, n, threads)
+
+    rows, cols, v = _query_expansion(
+        nbr, params.k2, rows, cols, np.exp(-d_v.astype(np.float64))
     )
-    d = pairwise_cosine_distance(joint, joint, threads=threads).values
-    d = d.astype(np.float64)
+    indptr = _indptr(rows, n)
+    norms = np.bincount(rows, weights=v, minlength=n)
 
-    d_noself = d.copy()
-    np.fill_diagonal(d_noself, np.inf)
-    order = np.argsort(d_noself, axis=1, kind="stable")
-    rank = np.empty_like(order)
-    rows = np.arange(n)[:, None]
-    rank[rows, order] = np.arange(n)[None, :]
+    # inverted index: for each column, the gallery rows that hold it
+    gal = slice(indptr[nq], None)
+    by_col = np.argsort(cols[gal], kind="stable")
+    post_rows = rows[gal][by_col] - nq
+    post_vals = v[gal][by_col]
+    col_ptr = _indptr(cols[gal], n)
+    col_len = np.diff(col_ptr)
 
-    half = math.ceil(params.k1 / 2)
-    r_full = _reciprocal_sets(order, rank, params.k1)
-    r_half = _reciprocal_sets(order, rank, half)
-
-    v = np.zeros((n, n), dtype=np.float64)
-    for p in range(n):
-        base = r_full[p]
-        members = set(base.tolist())
-        base_set = members.copy()
-        for c in base:
-            cand = r_half[c]
-            if cand.size == 0:
-                continue
-            overlap = sum(1 for g in cand if g in base_set)
-            if overlap >= EXPANSION_OVERLAP * cand.size:
-                members.update(cand.tolist())
-        if members:
-            idx = np.fromiter(members, dtype=np.int64)
-            v[p, idx] = np.exp(-d[p, idx])
-
-    # local query expansion over {p} + k2 nearest neighbors
-    vq = np.empty_like(v)
-    for p in range(n):
-        group = np.concatenate(([p], order[p, : params.k2]))
-        vq[p] = v[group].mean(axis=0)
-    v = vq
-
-    v_gal = v[nq:]
-    out = np.empty((len(query_rows), ng), dtype=np.float32)
-    for i, qi in enumerate(query_rows):
-        mins = np.minimum(v[qi][None, :], v_gal).sum(axis=1)
-        maxs = np.maximum(v[qi][None, :], v_gal).sum(axis=1)
+    # each row of `out` holds d until its final distance replaces it
+    for i, qi in enumerate(qrows):
+        q = slice(indptr[qi], indptr[qi + 1])
+        lengths = col_len[cols[q]]
+        idx = _ranges(col_ptr[cols[q]], lengths)
+        mins = np.minimum(np.repeat(v[q], lengths), post_vals[idx])
+        mins = np.bincount(post_rows[idx], weights=mins, minlength=ng)
+        maxs = norms[qi] + norms[nq:] - mins
         jaccard = np.ones(ng, dtype=np.float64)
         nz = maxs > 0
         jaccard[nz] = 1.0 - mins[nz] / maxs[nz]
-        out[i] = (1.0 - params.lam) * jaccard + params.lam * d[qi, nq:]
+        out[i] = (1.0 - params.lam) * jaccard + params.lam * out[i].astype(np.float64)
 
-    qids = tuple(query_feats.ids[i] for i in query_rows)
+    qids = tuple(query_feats.ids[i] for i in qrows)
     return DistanceMatrix(qids, gallery_feats.ids, out)
 
 
@@ -156,13 +238,10 @@ class ShardManifest:
     n_shards: int
     result_files: tuple[str, ...]
     query_ids: tuple[str, ...] | None = None
-    assignment: str = "modulo"
 
     def __post_init__(self):
         if self.n_shards < 1:
             raise InvalidParams("n_shards must be >= 1")
-        if self.assignment != "modulo":
-            raise InvalidParams(f"unknown assignment {self.assignment!r}")
         object.__setattr__(self, "result_files", tuple(self.result_files))
         if self.query_ids is not None:
             object.__setattr__(self, "query_ids", tuple(self.query_ids))
@@ -176,7 +255,6 @@ class ShardManifest:
         obj = {
             "n_queries": self.n_queries,
             "n_shards": self.n_shards,
-            "assignment": self.assignment,
             "result_files": list(self.result_files),
         }
         if self.query_ids is not None:
@@ -185,12 +263,14 @@ class ShardManifest:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ShardManifest":
+        # older manifests name their assignment; modulo is the only one
+        if obj.get("assignment", "modulo") != "modulo":
+            raise InvalidParams(f"unknown assignment {obj['assignment']!r}")
         return cls(
             n_queries=obj["n_queries"],
             n_shards=obj["n_shards"],
             result_files=tuple(obj["result_files"]),
             query_ids=tuple(obj["query_ids"]) if obj.get("query_ids") else None,
-            assignment=obj.get("assignment", "modulo"),
         )
 
 
@@ -199,7 +279,8 @@ class MissingReport:
     """Queries lost to absent or corrupt shards, with per-shard reasons."""
 
     missing_queries: list = field(default_factory=list)
-    reasons: dict = field(default_factory=dict)  # shard index -> "absent"|"checksum"
+    # shard index -> "absent" | "checksum" | "stale"
+    reasons: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -252,8 +333,6 @@ def write_shard_result(lists, path) -> None:
 
 def read_shard_result(data: bytes) -> list[RankingList]:
     """Parse and checksum-verify one shard file's bytes."""
-    from .errors import CorruptShard
-
     text = data.decode("utf-8", errors="replace")
     lines = text.splitlines(keepends=True)
     if not lines:
@@ -273,10 +352,10 @@ def merge_shard_results(manifest: ShardManifest, job_dir):
     """Collect whatever shard files exist; absences are reported, not fatal.
 
     Results for present shards are bit-identical to a single-shard run
-    restricted to those queries.
+    restricted to those queries. A shard whose lists do not match the
+    manifest's rows in number, or in query ids when the manifest has them,
+    was written for another job and is rejected as "stale".
     """
-    from .errors import CorruptShard
-
     report = MissingReport()
     by_row: dict[int, RankingList] = {}
     for shard, fname in enumerate(manifest.result_files):
@@ -291,6 +370,13 @@ def merge_shard_results(manifest: ShardManifest, job_dir):
             continue
         except CorruptShard:
             report.reasons[shard] = "checksum"
+            report.missing_queries.extend(_row_ids(manifest, rows))
+            continue
+        if len(lists) != len(rows) or (
+            manifest.query_ids is not None
+            and [rl.query_id for rl in lists] != _row_ids(manifest, rows)
+        ):
+            report.reasons[shard] = "stale"
             report.missing_queries.extend(_row_ids(manifest, rows))
             continue
         for row, rl in zip(rows, lists):

@@ -99,14 +99,8 @@ class CropGroupMap:
                 )
 
 
-def pairwise_cosine_distance(
-    queries: EmbeddingSet, gallery: EmbeddingSet, threads: int = 1
-) -> DistanceMatrix:
-    """values[i, j] = 1 - dot(query_i, gallery_j) for unit-norm rows.
-
-    The gallery is shared read-only; query rows are processed in fixed-size
-    blocks so the result is independent of `threads`.
-    """
+def _check_pair(queries: EmbeddingSet, gallery: EmbeddingSet) -> None:
+    """Refuse mismatched dims and rows that are not unit-norm."""
     if queries.dim != gallery.dim:
         raise DimMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     for name, emb in (("query", queries), ("gallery", gallery)):
@@ -118,24 +112,46 @@ def pairwise_cosine_distance(
                 f"{name} rows deviate from unit norm by up to {dev.max():.2e}"
             )
 
+
+def _distance_block(queries: np.ndarray, gallery_t: np.ndarray, start: int, out=None):
+    """Rows [start, start + QUERY_BLOCK) of 1 - queries @ gallery_t, float32.
+
+    Every caller cuts the same fixed blocks, so a distance has the same bits
+    whichever function computes it. Writes into `out` when given.
+    """
+    sims = queries[start:start + QUERY_BLOCK] @ gallery_t
+    out = sims if out is None else out
+    np.subtract(np.float32(1.0), sims, out=out)
+    # float roundoff can leave tiny negatives on exact matches
+    return np.clip(out, 0.0, 2.0, out=out)
+
+
+def _map_blocks(fn, n_rows: int, threads: int = 1) -> list:
+    """fn(start) for each QUERY_BLOCK-row block, results in block order."""
+    starts = range(0, n_rows, QUERY_BLOCK)
+    if threads <= 1:
+        return [fn(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, starts))
+
+
+def pairwise_cosine_distance(
+    queries: EmbeddingSet, gallery: EmbeddingSet, threads: int = 1
+) -> DistanceMatrix:
+    """values[i, j] = 1 - dot(query_i, gallery_j) for unit-norm rows.
+
+    The gallery is shared read-only; query rows are processed in fixed-size
+    blocks so the result is independent of `threads`.
+    """
+    _check_pair(queries, gallery)
     nq = len(queries)
     out = np.empty((nq, len(gallery)), dtype=np.float32)
     gt = gallery.vectors.T
 
     def run_block(start):
-        stop = min(start + QUERY_BLOCK, nq)
-        sims = queries.vectors[start:stop] @ gt
-        np.subtract(np.float32(1.0), sims, out=out[start:stop])
+        _distance_block(queries.vectors, gt, start, out=out[start:start + QUERY_BLOCK])
 
-    starts = range(0, nq, QUERY_BLOCK)
-    if threads <= 1:
-        for s in starts:
-            run_block(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, starts))
-    # float roundoff can leave tiny negatives on exact matches
-    np.clip(out, 0.0, 2.0, out=out)
+    _map_blocks(run_block, nq, threads)
     return DistanceMatrix(queries.ids, gallery.ids, out)
 
 

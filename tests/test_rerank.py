@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import naive_rerank
 from prodretrieve.embed_store import EmbeddingSet, l2_normalize
+from prodretrieve.evalbench import gen_synthetic
 from prodretrieve.errors import CorruptShard, InvalidParams, TooFewItems
 from prodretrieve.rerank import (
     MissingReport,
@@ -110,6 +113,43 @@ class TestKReciprocal:
         )
         assert part.values.tobytes() == full.values[[1, 4]].tobytes()
 
+    def test_duplicate_vectors_tie_at_k_boundaries(self):
+        # 5 exact copies of each base vector: every probe has 4 neighbors at
+        # distance 0, then a tied group of 5, so the k2=3 boundary falls
+        # inside the first tie and the k1=6 boundary inside the second; only
+        # the index tie-break decides who is in N(p,k)
+        rng = np.random.default_rng(0)
+        base = rng.normal(size=(6, 6))
+        rows = l2_normalize(EmbeddingSet(
+            tuple(f"i{k}" for k in range(30)),
+            np.repeat(base, 5, axis=0).astype(np.float32),
+        )).vectors
+        perm = rng.permutation(30)
+        queries = EmbeddingSet(tuple(f"q{k}" for k in range(7)), rows[perm[:7]])
+        gallery = EmbeddingSet(tuple(f"g{k}" for k in range(23)), rows[perm[7:]])
+        params = RerankParams(6, 3, 0.3)
+        got = kreciprocal_rerank(queries, gallery, params)
+        expect = naive_rerank(
+            queries.vectors.tolist(), gallery.vectors.tolist(), 6, 3, 0.3
+        )
+        np.testing.assert_allclose(got.values, expect, atol=1e-5)
+        part = kreciprocal_rerank(queries, gallery, params, query_rows=[6, 0, 3])
+        assert part.values.tobytes() == got.values[[6, 0, 3]].tobytes()
+
+    def test_memory_stays_far_below_dense(self):
+        """4,000 joint items: six dense n x n arrays would take 48 n^2 bytes,
+        about 770 MB; the sparse form holds O(QUERY_BLOCK n + n k1^2 +
+        k2 nnz(V)) bytes besides its output and must peak under 100 MB."""
+        gallery, queries, _ = gen_synthetic(400, 8, 2, 64, 0.35, seed=7)
+        assert len(queries) + len(gallery) == 4000
+        tracemalloc.start()
+        try:
+            kreciprocal_rerank(queries, gallery, RerankParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
     def test_reciprocity_on_small_instance(self):
         # direct set check of mutual neighborhoods
         queries, gallery = clustered_instance(2)
@@ -149,6 +189,12 @@ class TestSharding:
         m = build_shard_manifest(7, 2, tmp_path, query_ids=[f"q{i}" for i in range(7)])
         back = ShardManifest.from_dict(m.to_dict())
         assert back == m
+
+    def test_old_manifest_with_assignment_key(self, tmp_path):
+        m = build_shard_manifest(7, 2, tmp_path)
+        assert ShardManifest.from_dict({**m.to_dict(), "assignment": "modulo"}) == m
+        with pytest.raises(InvalidParams):
+            ShardManifest.from_dict({**m.to_dict(), "assignment": "blocked"})
 
 
 class TestShardFiles:
@@ -227,3 +273,26 @@ class TestMerge:
         _, report = merge_shard_results(manifest, tmp_path)
         assert report.reasons == {2: "checksum"}
         assert sorted(report.missing_queries) == [qids[r] for r in manifest.shard_rows(2)]
+
+    @pytest.mark.parametrize("with_ids", [True, False])
+    def test_stale_shard_from_reused_job_dir(self, tmp_path, with_ids):
+        # the directory still holds shard_0.jsonl of an earlier 4-shard job
+        self._job(tmp_path, n_queries=40, n_shards=4)
+        qids = [f"q{i:02d}" for i in range(40)] if with_ids else None
+        manifest = build_shard_manifest(40, 1, tmp_path, query_ids=qids)
+        results, report = merge_shard_results(manifest, tmp_path)
+        assert not report.ok
+        assert report.reasons == {0: "stale"}
+        assert len(report.missing_queries) == 40
+        assert results == []
+
+    def test_foreign_query_ids_are_stale(self, tmp_path):
+        manifest, qids = self._job(tmp_path)
+        foreign = [
+            RankingList(f"x{r}", (("g0", 0.0),), k=10) for r in manifest.shard_rows(1)
+        ]
+        write_shard_result(foreign, tmp_path / manifest.result_files[1])
+        results, report = merge_shard_results(manifest, tmp_path)
+        assert report.reasons == {1: "stale"}
+        assert sorted(report.missing_queries) == [qids[r] for r in manifest.shard_rows(1)]
+        assert len(results) == len(qids) - len(manifest.shard_rows(1))

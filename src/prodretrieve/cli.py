@@ -107,7 +107,9 @@ def build_parser() -> _Parser:
     p.add_argument("--shard", type=int, required=True)
     p.add_argument("--inject-fail", action="store_true")
 
-    p = sub.add_parser("coordinate", help="run all shards as processes, then merge")
+    p = sub.add_parser(
+        "coordinate", help="run all shards as forked worker processes, then merge"
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--fail-policy", choices=["tolerate", "strict"], default="tolerate")
@@ -242,7 +244,8 @@ def cmd_worker(args) -> None:
 
 def cmd_coordinate(args) -> None:
     results, report = harness.coordinator_run(
-        args.manifest, parallelism=args.parallelism, fail_policy=args.fail_policy
+        args.manifest, parallelism=args.parallelism,
+        fail_policy=args.fail_policy, threads=args.threads,
     )
     _write_merge_outputs(results, report, args.out, args.missing)
 

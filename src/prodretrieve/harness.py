@@ -1,24 +1,26 @@
 """Coordinator/worker execution of sharded re-ranking over a job directory.
 
-There is no network protocol: the coordinator spawns worker processes
-that share nothing but the job directory. Workers commit their shard file
-by atomic rename, so a killed worker leaves at most a temp file and its
-shard is indistinguishable from one that never ran. Missing shards are
-tolerated (or fatal, under the strict policy) and reported by query id.
+There is no network protocol: the coordinator forks one worker process
+per shard, and workers share nothing with it but the job directory. Each
+worker loads the manifest and inputs itself and commits its shard file by
+atomic rename, so a killed worker leaves at most a temp file and its shard
+is indistinguishable from one that never ran. Missing shards are tolerated
+(or fatal, under the strict policy) and reported by query id, with every
+non-zero worker exit code. The `worker` CLI subcommand runs one shard by
+hand, or on another host that sees the job directory.
 """
 from __future__ import annotations
 
 import datetime
 import json
+import multiprocessing
 import os
-import subprocess
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 from .embed_store import load_embeddings
 from .errors import InvalidParams, ManifestInvalid, ShardsMissing
 from .rerank import (
-    MissingReport,
     RerankParams,
     ShardManifest,
     build_shard_manifest,
@@ -170,8 +172,14 @@ def coordinator_run(
     manifest_path,
     parallelism: int = 1,
     fail_policy: str = "tolerate",
+    threads: int = 1,
 ):
-    """Fan shards out to worker processes, then merge whatever landed."""
+    """Fan shards out to forked worker processes, then merge whatever landed.
+
+    Workers are forked, not spawned: a fresh interpreter would re-import
+    numpy for every shard. The "fork" context is named explicitly because
+    the platform default may be forkserver, which re-imports too.
+    """
     if fail_policy not in ("tolerate", "strict"):
         raise InvalidParams(f"unknown fail policy {fail_policy!r}")
     if parallelism < 1:
@@ -179,35 +187,29 @@ def coordinator_run(
     manifest = load_manifest(manifest_path)
     job_dir = os.path.dirname(os.path.abspath(manifest_path))
 
+    fork = multiprocessing.get_context("fork")
     pending = list(range(manifest.shards.n_shards))
-    running: list[subprocess.Popen] = []
+    running: dict = {}  # sentinel -> (shard, process)
+    exit_codes: dict[int, int] = {}
     while pending or running:
         while pending and len(running) < parallelism:
             shard = pending.pop(0)
-            running.append(subprocess.Popen(
-                [
-                    sys.executable, "-m", "prodretrieve", "worker",
-                    "--manifest", str(manifest_path),
-                    "--shard", str(shard),
-                ],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            ))
-        running[0].wait()
-        running = [p for p in running if p.poll() is None]
+            proc = fork.Process(
+                target=worker_run, args=(manifest_path, shard),
+                kwargs={"threads": threads},
+            )
+            proc.start()
+            running[proc.sentinel] = (shard, proc)
+        for sentinel in wait(list(running)):
+            shard, proc = running.pop(sentinel)
+            proc.join()
+            if proc.exitcode:
+                exit_codes[shard] = proc.exitcode
 
     results, report = merge_shard_results(manifest.shards, job_dir)
+    report.exit_codes.update(sorted(exit_codes.items()))  # in shard order
     if fail_policy == "strict" and not report.ok:
         raise ShardsMissing(
             f"shards {sorted(report.reasons)} missing, corrupt or stale"
         )
     return results, report
-
-
-def run_workers_inprocess(manifest_path) -> tuple[list, MissingReport]:
-    """Run every shard in this process (test/debug convenience)."""
-    manifest = load_manifest(manifest_path)
-    for shard in range(manifest.shards.n_shards):
-        worker_run(manifest_path, shard)
-    job_dir = os.path.dirname(os.path.abspath(manifest_path))
-    return merge_shard_results(manifest.shards, job_dir)

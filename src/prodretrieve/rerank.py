@@ -281,6 +281,8 @@ class MissingReport:
     missing_queries: list = field(default_factory=list)
     # shard index -> "absent" | "checksum" | "stale"
     reasons: dict = field(default_factory=dict)
+    # shard index -> non-zero worker exit code, negative for a signal
+    exit_codes: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -290,6 +292,7 @@ class MissingReport:
         return {
             "missing_queries": list(self.missing_queries),
             "reasons": {str(i): r for i, r in self.reasons.items()},
+            "exit_codes": {str(i): c for i, c in self.exit_codes.items()},
         }
 
 

@@ -45,10 +45,6 @@ class DistanceMatrix:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def orientation(self) -> str:
-        return "distance"
-
 
 @dataclass(frozen=True)
 class RankingList:

@@ -1,9 +1,12 @@
+import json
+import os
 import signal
 import subprocess
 import sys
 
 import pytest
 
+from prodretrieve import cli
 from prodretrieve.embed_store import save_embeddings
 from prodretrieve.errors import ManifestInvalid, ShardsMissing
 from prodretrieve.evalbench import gen_synthetic
@@ -152,17 +155,20 @@ class TestCoordinator:
         assert merged_bytes(results) == merged_bytes(baseline)
 
     def _rig_shard_failure(self, monkeypatch, shard):
-        """Make the coordinator's worker for `shard` run with --inject-fail."""
+        """Make the coordinator's worker for `shard` run with inject_fail=True.
+
+        Workers are forked from this process, so they inherit the patch.
+        """
         from prodretrieve import harness
 
-        orig_popen = harness.subprocess.Popen
+        orig_worker_run = harness.worker_run
 
-        def popen(cmd, **kw):
-            if "--shard" in cmd and cmd[cmd.index("--shard") + 1] == str(shard):
-                cmd = cmd + ["--inject-fail"]
-            return orig_popen(cmd, **kw)
+        def worker_run(manifest_path, shard_index, **kw):
+            if shard_index == shard:
+                kw["inject_fail"] = True
+            return orig_worker_run(manifest_path, shard_index, **kw)
 
-        monkeypatch.setattr(harness.subprocess, "Popen", popen)
+        monkeypatch.setattr(harness, "worker_run", worker_run)
 
     def test_tolerate_with_failing_worker(self, tmp_path, small_inputs, monkeypatch):
         job_dir = make_job(tmp_path, small_inputs, 3)
@@ -192,3 +198,84 @@ class TestCoordinator:
         self._rig_shard_failure(monkeypatch, 1)
         with pytest.raises(ShardsMissing):
             coordinator_run(str(job_dir / MANIFEST_NAME), fail_policy="strict")
+
+    def test_failed_worker_exit_code_reported(self, tmp_path, small_inputs, monkeypatch):
+        job_dir = make_job(tmp_path, small_inputs, 3)
+        self._rig_shard_failure(monkeypatch, 2)
+        _, report = coordinator_run(str(job_dir / MANIFEST_NAME), parallelism=2)
+        assert report.exit_codes == {2: 1}
+        assert report.to_dict()["exit_codes"] == {"2": 1}
+
+    def test_sigkilled_worker_reported_absent(self, tmp_path, small_inputs, monkeypatch):
+        from prodretrieve import harness
+
+        job_dir = make_job(tmp_path, small_inputs, 2)
+        orig_worker_run = harness.worker_run
+
+        def worker_run(manifest_path, shard_index, **kw):
+            if shard_index == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return orig_worker_run(manifest_path, shard_index, **kw)
+
+        monkeypatch.setattr(harness, "worker_run", worker_run)
+        results, report = coordinator_run(str(job_dir / MANIFEST_NAME), parallelism=2)
+        assert report.reasons == {0: "absent"}
+        assert report.exit_codes == {0: -signal.SIGKILL}
+        assert len(results) == 8
+
+    def test_threads_reach_forked_workers(self, tmp_path, small_inputs, monkeypatch):
+        from prodretrieve import harness
+
+        job_dir = make_job(tmp_path, small_inputs, 2)
+        orig_worker_run = harness.worker_run
+
+        def worker_run(manifest_path, shard_index, threads=1, **kw):
+            (job_dir / f"threads_{shard_index}").write_text(str(threads))
+            return orig_worker_run(manifest_path, shard_index, threads=threads, **kw)
+
+        monkeypatch.setattr(harness, "worker_run", worker_run)
+        code = cli.run([
+            "--threads", "2", "coordinate", "--manifest", str(job_dir / MANIFEST_NAME),
+            "--out", str(tmp_path / "merged.jsonl"),
+        ])
+        assert code == 0
+        assert [(job_dir / f"threads_{i}").read_text() for i in (0, 1)] == ["2", "2"]
+
+    def test_cli_status_printed_once_to_buffered_stdout(
+        self, tmp_path, small_inputs, monkeypatch
+    ):
+        """Forked workers must not repeat output buffered in the coordinator.
+
+        stdout is a file, so it is block-buffered: the `shard` status line is
+        still in the buffer when `coordinate` forks its workers.
+        """
+        qpath, gpath = small_inputs
+        job_dir = tmp_path / "job"
+        missing = tmp_path / "missing.json"
+        self._rig_shard_failure(monkeypatch, 1)
+        out_path = tmp_path / "stdout.txt"
+        saved_fd, saved_stdout = os.dup(1), sys.stdout
+        try:
+            with open(out_path, "wb") as fh:
+                os.dup2(fh.fileno(), 1)
+            sys.stdout = open(1, "w", closefd=False)
+            assert cli.run([
+                "shard", "--queries", qpath, "--gallery", gpath, "--n-shards", "3",
+                "--k1", "6", "--k2", "2", "--job-dir", str(job_dir),
+            ]) == 0
+            assert cli.run([
+                "coordinate", "--manifest", str(job_dir / MANIFEST_NAME),
+                "--parallelism", "2", "--out", str(tmp_path / "merged.jsonl"),
+                "--missing", str(missing),
+            ]) == 0
+            sys.stdout.flush()
+        finally:
+            sys.stdout = saved_stdout
+            os.dup2(saved_fd, 1)
+            os.close(saved_fd)
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 2, lines
+        shard_status, coordinate_status = map(json.loads, lines)
+        assert shard_status["outputs"] == [str(job_dir / MANIFEST_NAME)]
+        assert coordinate_status["n_missing"] == 5
+        assert json.loads(missing.read_text())["exit_codes"] == {"1": 1}

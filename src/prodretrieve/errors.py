@@ -92,6 +92,10 @@ class TargetBelowClusterCount(ProdRetrieveError):
     """Requested class count is smaller than the number of kept clusters."""
 
 
+class MalformedClusters(ProdRetrieveError):
+    """A cluster file is not valid JSON or lacks its keys or partition."""
+
+
 # --- evaluation ---
 
 class UnknownGalleryId(ProdRetrieveError):
@@ -101,7 +105,7 @@ class UnknownGalleryId(ProdRetrieveError):
 # --- harness ---
 
 class ShardsMissing(ProdRetrieveError):
-    """Strict-mode coordinator found absent or corrupt shards."""
+    """Strict-mode coordinator found absent, corrupt, stale or unreadable shards."""
 
 
 class ManifestInvalid(ProdRetrieveError):

@@ -210,6 +210,6 @@ def coordinator_run(
     report.exit_codes.update(sorted(exit_codes.items()))  # in shard order
     if fail_policy == "strict" and not report.ok:
         raise ShardsMissing(
-            f"shards {sorted(report.reasons)} missing, corrupt or stale"
+            f"shards {sorted(report.reasons)} missing, corrupt, stale or unreadable"
         )
     return results, report

@@ -4,6 +4,13 @@ Clusters are connected components of the thresholded cosine-similarity
 graph. Only small components count as confident pseudo-classes; everything
 else falls back to a pool from which singleton classes are sampled to
 reach a target class count.
+
+`cluster_features` scans the upper triangle of the similarity matrix in
+float32, one block of `BLOCK` rows at a time, and re-decides in float64
+every pair whose float32 score lies within a rounding-error margin of the
+threshold. Its memory beside the input is O(BLOCK * n) float32 for one
+block plus the candidate pairs, and its clusters do not depend on the
+BLAS kernel or its thread count.
 """
 from __future__ import annotations
 
@@ -13,10 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed_store import EmbeddingSet, row_norms
-from .errors import NotNormalized, PoolTooSmall, TargetBelowClusterCount
+from .errors import (
+    MalformedClusters,
+    NotNormalized,
+    PoolTooSmall,
+    TargetBelowClusterCount,
+)
 from .search import NORM_TOL
 
 CONFIDENT_MAX_SIZE = 10  # kept clusters must be strictly smaller than this
+BLOCK = 512  # rows per similarity block: a BLOCK x n float32 buffer
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,48 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+def _similar_pairs(vectors: np.ndarray, threshold: float):
+    """Yield (rows, cols) index arrays, rows < cols, one row block at a time,
+    of every pair whose float64 dot (`_dot64`) is >= threshold.
+
+    A float32 dot of d terms is within gamma_d * |a| |b| ~= d * eps32 / 2 *
+    (1 + NORM_TOL)^2 of the exact dot in any summation order (Higham,
+    "Accuracy and Stability of Numerical Algorithms", eq. 3.5), and the
+    float64 dot is within d * eps64 of it. The margin 2 (d + 2) eps32 is
+    more than four times that and also covers rounding threshold +- margin
+    to float32. So a float32 score below threshold - margin is a sure no,
+    one at or above threshold + margin a sure yes, and only the scores in
+    between are decided in float64.
+    """
+    n, d = vectors.shape
+    margin = 2 * (d + 2) * float(np.finfo(np.float32).eps)
+    lo, hi = np.float32(threshold - margin), np.float32(threshold + margin)
+    # one buffer for every block, so no two blocks are ever held at once
+    buf = np.empty(min(BLOCK, n) * n, dtype=np.float32)
+    for start in range(0, n, BLOCK):
+        block = vectors[start:start + BLOCK]
+        width = n - start  # the upper triangle: columns start..n-1
+        sims = buf[:len(block) * width].reshape(len(block), width)
+        np.matmul(block, vectors[start:].T, out=sims)
+        flat = np.flatnonzero(sims >= lo)
+        rows, cols = np.divmod(flat, width)
+        upper = cols > rows
+        flat, rows, cols = flat[upper], rows[upper] + start, cols[upper] + start
+        keep = sims.ravel()[flat] >= hi
+        unsure = ~keep
+        keep[unsure] = _dot64(vectors[rows[unsure]], vectors[cols[unsure]]) >= threshold
+        yield rows[keep], cols[keep]
+
+
+def _dot64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise float64 dot, summed left to right: float32 products are exact
+    in float64, and a running sum fixes the order of the additions."""
+    return np.cumsum(a.astype(np.float64) * b.astype(np.float64), axis=1)[:, -1]
+
+
 def cluster_features(emb: EmbeddingSet, threshold: float) -> ClusterResult:
-    """Connected components of the cos(v_i, v_j) >= threshold graph.
+    """Connected components of the cos(v_i, v_j) >= threshold graph, where
+    cos is the float64 dot summed left to right (see `_similar_pairs`).
 
     Components of size >= 2 become clusters (listed by smallest member id,
     members ascending); singletons go to the pool.
@@ -93,15 +146,9 @@ def cluster_features(emb: EmbeddingSet, threshold: float) -> ClusterResult:
         raise NotNormalized("cluster_features requires unit-norm rows")
 
     uf = _UnionFind(n)
-    # row blocks keep the similarity buffer bounded at desk scale
-    block = 1024
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        sims = emb.vectors[start:stop].astype(np.float64) @ emb.vectors.T.astype(np.float64)
-        ii, jj = np.nonzero(sims >= threshold)
-        for i, j in zip(ii + start, jj):
-            if i < j:
-                uf.union(int(i), int(j))
+    for rows, cols in _similar_pairs(emb.vectors, threshold):
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            uf.union(i, j)
 
     members: dict[int, list[str]] = {}
     for i in range(n):
@@ -191,13 +238,20 @@ def save_clusters(result: ClusterResult, path) -> None:
 
 
 def load_clusters(path) -> ClusterResult:
+    """Read a `save_clusters` file; a truncated or foreign file raises
+    MalformedClusters."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return ClusterResult(
-        clusters=tuple(tuple(c) for c in obj["clusters"]),
-        unclustered_pool=tuple(obj["pool"]),
-        similarity_threshold=obj["threshold"],
-    )
+        try:
+            obj = json.load(fh)
+            return ClusterResult(
+                clusters=tuple(tuple(c) for c in obj["clusters"]),
+                unclustered_pool=tuple(obj["pool"]),
+                similarity_threshold=obj["threshold"],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedClusters(
+                f"{path} is not a cluster file: {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 def save_assignment(assignment: PseudoLabelAssignment, path) -> None:

@@ -276,10 +276,12 @@ class ShardManifest:
 
 @dataclass
 class MissingReport:
-    """Queries lost to absent or corrupt shards, with per-shard reasons."""
+    """Queries lost to absent, corrupt, stale or unreadable shards, with
+    per-shard reasons."""
 
     missing_queries: list = field(default_factory=list)
-    # shard index -> "absent" | "checksum" | "stale"
+    # shard index -> "absent" | "checksum" | "stale" | "unreadable" (the path
+    # exists but cannot be read, e.g. it is a directory)
     reasons: dict = field(default_factory=dict)
     # shard index -> non-zero worker exit code, negative for a signal
     exit_codes: dict = field(default_factory=dict)
@@ -357,29 +359,32 @@ def merge_shard_results(manifest: ShardManifest, job_dir):
     Results for present shards are bit-identical to a single-shard run
     restricted to those queries. A shard whose lists do not match the
     manifest's rows in number, or in query ids when the manifest has them,
-    was written for another job and is rejected as "stale".
+    was written for another job and is rejected as "stale"; one whose path
+    cannot be opened or read (a directory, no permission) is "unreadable".
     """
     report = MissingReport()
     by_row: dict[int, RankingList] = {}
     for shard, fname in enumerate(manifest.result_files):
         path = os.path.join(job_dir, fname)
         rows = manifest.shard_rows(shard)
+        reason = None
         try:
             with open(path, "rb") as fh:
                 lists = read_shard_result(fh.read())
         except FileNotFoundError:
-            report.reasons[shard] = "absent"
-            report.missing_queries.extend(_row_ids(manifest, rows))
-            continue
+            reason = "absent"
         except CorruptShard:
-            report.reasons[shard] = "checksum"
-            report.missing_queries.extend(_row_ids(manifest, rows))
-            continue
-        if len(lists) != len(rows) or (
-            manifest.query_ids is not None
-            and [rl.query_id for rl in lists] != _row_ids(manifest, rows)
-        ):
-            report.reasons[shard] = "stale"
+            reason = "checksum"
+        except OSError:
+            reason = "unreadable"
+        else:
+            if len(lists) != len(rows) or (
+                manifest.query_ids is not None
+                and [rl.query_id for rl in lists] != _row_ids(manifest, rows)
+            ):
+                reason = "stale"
+        if reason is not None:
+            report.reasons[shard] = reason
             report.missing_queries.extend(_row_ids(manifest, rows))
             continue
         for row, rl in zip(rows, lists):

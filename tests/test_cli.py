@@ -48,6 +48,19 @@ class TestExitCodes:
         assert code == 2
         assert "MagicMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"threshold": 0.8, "clusters": [["a", "b"]], "po',  # truncated
+        '{"threshold": 0.8, "pool": ["c"]}',  # no "clusters" key
+    ])
+    def test_malformed_cluster_file_is_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "clusters.json"
+        bad.write_text(text)
+        code = run(["filter-clusters", "--in", str(bad), "--out", str(tmp_path / "kept.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("MalformedClusters: ")
+        assert not (tmp_path / "kept.json").exists()
+
     def test_manifest_error_is_3(self, tmp_path, capsys):
         code = run(["worker", "--manifest", str(tmp_path / "none.json"), "--shard", "0"])
         assert code == 3

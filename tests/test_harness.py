@@ -279,3 +279,20 @@ class TestCoordinator:
         assert shard_status["outputs"] == [str(job_dir / MANIFEST_NAME)]
         assert coordinate_status["n_missing"] == 5
         assert json.loads(missing.read_text())["exit_codes"] == {"1": 1}
+
+    def test_directory_at_shard_path_reported(self, tmp_path, small_inputs):
+        """The worker cannot commit over a directory and the merge cannot
+        read one; coordinate must still write --out and --missing."""
+        job_dir = make_job(tmp_path, small_inputs, 2)
+        (job_dir / "shard_1.jsonl").mkdir()
+        out, missing = tmp_path / "merged.jsonl", tmp_path / "missing.json"
+        code = cli.run([
+            "coordinate", "--manifest", str(job_dir / MANIFEST_NAME),
+            "--out", str(out), "--missing", str(missing),
+        ])
+        assert code == 0
+        report = json.loads(missing.read_text())
+        assert report["reasons"] == {"1": "unreadable"}
+        assert report["exit_codes"] == {"1": 1}
+        assert len(report["missing_queries"]) == 8
+        assert len(out.read_text().splitlines()) == 8

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import naive_components
+from prodretrieve import pseudolabel
 from prodretrieve.embed_store import EmbeddingSet, l2_normalize
 from prodretrieve.errors import NotNormalized, PoolTooSmall, TargetBelowClusterCount
+from prodretrieve.evalbench import gen_synthetic
 from prodretrieve.pseudolabel import (
     ClusterResult,
     assign_pseudo_labels,
@@ -83,6 +87,62 @@ class TestClusterFeatures:
         emb = grouped_points(42, n_noise=7)
         result = cluster_features(emb, 0.8)
         assert result.all_ids == frozenset(emb.ids)
+
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_matches_oracle_across_block_boundaries(self, monkeypatch, block):
+        """More rows than one block, groups scattered over several blocks and
+        exact duplicates on both sides of a block boundary."""
+        if block is not None:
+            monkeypatch.setattr(pseudolabel, "BLOCK", block)
+        block = pseudolabel.BLOCK
+        base = grouped_points(43, n_groups=block // 5 + 10, per_group=6, n_noise=12, dim=8)
+        n = len(base)
+        assert n > block + 40
+        order = np.random.default_rng(43).permutation(n)
+        rows = base.vectors[order].copy()
+        rows[block] = rows[block - 1]  # duplicate pair straddling a boundary
+        rows[n - 1] = rows[0]  # duplicate pair in the first and last blocks
+        rows[block + 1] = rows[block - 1]  # a third copy
+        emb = EmbeddingSet(tuple(f"x{i:04d}" for i in range(n)), rows)
+        for threshold in (0.8, 0.95):
+            result = cluster_features(emb, threshold)
+            clusters, pool = naive_components(emb.vectors.tolist(), list(emb.ids), threshold)
+            assert result.clusters == tuple(clusters)
+            assert result.unclustered_pool == tuple(pool)
+            blocks_of = [{int(i[1:]) // block for i in c} for c in result.clusters]
+            assert sum(len(b) > 1 for b in blocks_of) >= 5
+            for i, j in ((0, n - 1), (block - 1, block)):
+                assert any(f"x{i:04d}" in c and f"x{j:04d}" in c for c in result.clusters)
+
+    def test_threshold_edge_decided_in_float64(self):
+        """At a threshold equal to a pair's float64 dot the pair is joined,
+        one float64 step above it is not. Both thresholds round to the same
+        float32 value, so a float32-only decision fails one of the two."""
+        rng = np.random.default_rng(45)
+        a = rng.normal(size=16)
+        emb = unit_set(["a", "b", "c"], [a, a + 0.3 * rng.normal(size=16), rng.normal(size=16)])
+        threshold = 0.0
+        for x, y in zip(emb.vectors[0].tolist(), emb.vectors[1].tolist()):
+            threshold += x * y  # float64, left to right
+        above = np.nextafter(threshold, 1.0)
+        assert 0.5 < threshold < 0.99
+        assert np.float32(threshold) == np.float32(above)
+        assert cluster_features(emb, threshold).clusters == (("a", "b"),)
+        assert cluster_features(emb, above).clusters == ()
+
+    def test_memory_bound_at_mining_shape(self):
+        """15,996 x 64 (the pipeline's mining set): one 512-row float32 block
+        is 33 MB; the full-width float64 scan this replaced peaked at 271 MB."""
+        emb, _, _ = gen_synthetic(1333, 12, 1, 64, 0.07, seed=7)
+        assert len(emb) == 15996
+        tracemalloc.start()
+        try:
+            result = cluster_features(emb, 0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.clusters) > 1000
+        assert peak < 64e6
 
 
 class TestFilterConfident:
@@ -188,3 +248,4 @@ def test_cluster_file_round_trip(tmp_path):
     path = tmp_path / "clusters.json"
     save_clusters(result, path)
     assert load_clusters(path) == result
+

@@ -296,3 +296,13 @@ class TestMerge:
         assert report.reasons == {1: "stale"}
         assert sorted(report.missing_queries) == [qids[r] for r in manifest.shard_rows(1)]
         assert len(results) == len(qids) - len(manifest.shard_rows(1))
+
+    def test_directory_at_shard_path_is_unreadable(self, tmp_path):
+        manifest, qids = self._job(tmp_path)
+        path = tmp_path / manifest.result_files[1]
+        path.unlink()
+        path.mkdir()
+        results, report = merge_shard_results(manifest, tmp_path)
+        assert report.reasons == {1: "unreadable"}
+        assert sorted(report.missing_queries) == [qids[r] for r in manifest.shard_rows(1)]
+        assert len(results) == len(qids) - len(manifest.shard_rows(1))

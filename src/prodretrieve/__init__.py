@@ -7,6 +7,7 @@ Submodules:
     ensemble     maximum (score) and voting (rank) ensembles
     pseudolabel  threshold-graph clustering and pseudo-class assignment
     harness      coordinator/worker execution of sharded rerank jobs
+    fileio       atomic (fsync + rename) file commits, sha256 of a file
     evalbench    MAR@k evaluation and the synthetic benchmark generator
     cli          the `prodretrieve` command
 """

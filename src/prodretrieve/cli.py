@@ -8,13 +8,13 @@ manifest/config error. All randomness takes an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
 from . import embed_store, ensemble, evalbench, harness, pseudolabel, rerank, search
 from .errors import ManifestInvalid, ProdRetrieveError, ShardsMissing
+from .fileio import sha256_file, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,12 +48,6 @@ def _status(outputs, **extra) -> None:
     line = {"ok": True, "outputs": [str(p) for p in outputs]}
     line.update(extra)
     print(json.dumps(line))
-
-
-def _atomic_write(path, write_fn) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    write_fn(tmp)
-    os.replace(tmp, path)
 
 
 def build_parser() -> _Parser:
@@ -178,7 +172,7 @@ def build_parser() -> _Parser:
 
 def cmd_normalize(args) -> None:
     emb = embed_store.l2_normalize(embed_store.load_embeddings(args.inp))
-    _atomic_write(args.out, lambda p: embed_store.save_embeddings(emb, p))
+    embed_store.save_embeddings(emb, args.out)
     _status([args.out])
 
 
@@ -192,7 +186,7 @@ def cmd_fuse(args) -> None:
     else:
         members = [embed_store.load_from_sidecar(p) for p in args.sidecars]
     fused = embed_store.fuse_multiscale(embed_store.ScaleGroup(tuple(members)))
-    _atomic_write(args.out, lambda p: embed_store.save_embeddings(fused, p))
+    embed_store.save_embeddings(fused, args.out)
     _status([args.out])
 
 
@@ -200,14 +194,14 @@ def cmd_search(args) -> None:
     queries = embed_store.load_embeddings(args.queries)
     gallery = embed_store.load_embeddings(args.gallery)
     matrix = search.pairwise_cosine_distance(queries, gallery, threads=args.threads)
-    _save_matrix_atomic(matrix, args.out)
+    search.save_matrix(matrix, args.out)
     _status([args.out])
 
 
 def cmd_crop_agg(args) -> None:
     matrix = search.load_matrix(args.matrix)
     crop_map = search.load_crop_map(args.crop_map)
-    _save_matrix_atomic(search.aggregate_crops(matrix, crop_map), args.out)
+    search.save_matrix(search.aggregate_crops(matrix, crop_map), args.out)
     _status([args.out])
 
 
@@ -216,13 +210,12 @@ def cmd_rerank(args) -> None:
     gallery = embed_store.load_embeddings(args.gallery)
     params = rerank.RerankParams(k1=args.k1, k2=args.k2, lam=args.lam)
     matrix = rerank.kreciprocal_rerank(queries, gallery, params, threads=args.threads)
-    _save_matrix_atomic(matrix, args.out)
+    search.save_matrix(matrix, args.out)
     _status([args.out])
 
 
 def cmd_shard(args) -> None:
     params = rerank.RerankParams(k1=args.k1, k2=args.k2, lam=args.lam)
-    os.makedirs(args.job_dir, exist_ok=True)
     harness.create_job(
         args.job_dir, args.queries, args.gallery, params,
         n_shards=args.n_shards, depth=args.depth,
@@ -231,13 +224,8 @@ def cmd_shard(args) -> None:
 
 
 def cmd_worker(args) -> None:
-    harness.worker_run(
+    out = harness.worker_run(
         args.manifest, args.shard, inject_fail=args.inject_fail, threads=args.threads
-    )
-    manifest = harness.load_manifest(args.manifest)
-    out = os.path.join(
-        os.path.dirname(os.path.abspath(args.manifest)),
-        manifest.shards.result_files[args.shard],
     )
     _status([out])
 
@@ -257,14 +245,10 @@ def cmd_merge(args) -> None:
 
 
 def _write_merge_outputs(results, report, out, missing_path) -> None:
-    _atomic_write(out, lambda p: search.write_ranking_lists(results, p))
+    search.write_ranking_lists(results, out)
     outputs = [out]
     if missing_path:
-        def write_missing(p):
-            with open(p, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
-        _atomic_write(missing_path, write_missing)
+        write_json(missing_path, report.to_dict())
         outputs.append(missing_path)
     _status(outputs, n_missing=len(report.missing_queries))
 
@@ -274,7 +258,7 @@ def cmd_max_ensemble(args) -> None:
         raise SystemExit(_usage("max-ensemble needs exactly one of --matrices / --spec"))
     paths = args.matrices or [p for _, p in ensemble.EnsembleSpec.from_json(args.spec).members]
     matrices = [search.load_matrix(p) for p in paths]
-    _save_matrix_atomic(ensemble.max_ensemble(matrices), args.out)
+    search.save_matrix(ensemble.max_ensemble(matrices), args.out)
     _status([args.out])
 
 
@@ -288,14 +272,14 @@ def cmd_vote_ensemble(args) -> None:
         paths, k = args.lists, args.k
     model_lists = [search.read_ranking_lists(p) for p in paths]
     fused = ensemble.vote_ensemble(model_lists, k=k)
-    _atomic_write(args.out, lambda p: search.write_ranking_lists(fused, p))
+    search.write_ranking_lists(fused, args.out)
     _status([args.out])
 
 
 def cmd_cluster(args) -> None:
     emb = embed_store.load_embeddings(args.inp)
     result = pseudolabel.cluster_features(emb, args.threshold)
-    _atomic_write(args.out, lambda p: pseudolabel.save_clusters(result, p))
+    pseudolabel.save_clusters(result, args.out)
     _status([args.out], n_clusters=len(result.clusters), n_pool=len(result.unclustered_pool))
 
 
@@ -303,14 +287,14 @@ def cmd_filter_clusters(args) -> None:
     result = pseudolabel.filter_confident(
         pseudolabel.load_clusters(args.inp), max_size=args.max_size
     )
-    _atomic_write(args.out, lambda p: pseudolabel.save_clusters(result, p))
+    pseudolabel.save_clusters(result, args.out)
     _status([args.out], n_clusters=len(result.clusters), n_pool=len(result.unclustered_pool))
 
 
 def cmd_assign_labels(args) -> None:
     kept = pseudolabel.load_clusters(args.clusters)
     assignment = pseudolabel.assign_pseudo_labels(kept, args.target, args.seed)
-    _atomic_write(args.out, lambda p: pseudolabel.save_assignment(assignment, p))
+    pseudolabel.save_assignment(assignment, args.out)
     _status(
         [args.out],
         n_classes=assignment.n_classes,
@@ -329,9 +313,9 @@ def cmd_gen_synth(args) -> None:
         noise_sigma=args.noise,
         seed=args.seed,
     )
-    _atomic_write(args.out_gallery, lambda p: embed_store.save_embeddings(gallery, p))
-    _atomic_write(args.out_queries, lambda p: embed_store.save_embeddings(queries, p))
-    _atomic_write(args.out_gt, lambda p: evalbench.save_ground_truth(gt, p))
+    embed_store.save_embeddings(gallery, args.out_gallery)
+    embed_store.save_embeddings(queries, args.out_queries)
+    evalbench.save_ground_truth(gt, args.out_gt)
     _status([args.out_gallery, args.out_queries, args.out_gt])
 
 
@@ -367,13 +351,6 @@ HANDLERS = {
 }
 
 
-def _save_matrix_atomic(matrix, out) -> None:
-    # np.savez appends .npz when missing; write the temp with an explicit name
-    tmp = f"{out}.tmp.{os.getpid()}.npz"
-    search.save_matrix(matrix, tmp)
-    os.replace(tmp, out)
-
-
 def _usage(message: str) -> int:
     print(f"prodretrieve: error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -407,14 +384,6 @@ def _step_argv(step: dict, base: str) -> tuple[list, list, list]:
 
 class PipelineConfigError(ProdRetrieveError):
     pass
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def cmd_pipeline(args) -> None:
@@ -456,7 +425,7 @@ def cmd_pipeline(args) -> None:
     all_outputs = []
     for name, argv, outputs in plans:
         if args.resume and outputs and all(
-            os.path.isfile(p) and state.get(p) == _sha256(p) for p in outputs
+            os.path.isfile(p) and state.get(p) == sha256_file(p) for p in outputs
         ):
             print(json.dumps({"step": name, "skipped": True}))
             all_outputs.extend(outputs)
@@ -467,9 +436,8 @@ def cmd_pipeline(args) -> None:
             raise SystemExit(code)
         for path in outputs:
             if os.path.isfile(path):
-                state[path] = _sha256(path)
-        with open(state_path, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=2)
+                state[path] = sha256_file(path)
+        write_json(state_path, state)
         all_outputs.extend(outputs)
     _status(all_outputs, steps=len(plans))
 

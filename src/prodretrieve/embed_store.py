@@ -15,6 +15,7 @@ EMB1 binary layout (all integers little-endian):
 """
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass, field
@@ -30,11 +31,10 @@ from .errors import (
     TruncatedFile,
     ZeroVector,
 )
+from .fileio import atomic_open, sha256_file, write_json
 
 MAGIC = b"EMB1"
 HEADER = struct.Struct("<4sIII")
-
-DEFAULT_DIM = 2048
 
 # Norm below this is treated as a corrupt/degenerate vector, never clamped.
 ZERO_NORM_EPS = 1e-12
@@ -104,17 +104,17 @@ class ScaleGroup:
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
-    """Write the EMB1 format; byte output is deterministic for a given set."""
+    """Commit the EMB1 format atomically; bytes are deterministic for a set."""
+    head = [HEADER.pack(MAGIC, len(emb), emb.dim, 0)]
+    for item_id in emb.ids:
+        raw = item_id.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise IoFailure(f"id longer than 65535 bytes: {item_id[:32]}...")
+        head += (struct.pack("<H", len(raw)), raw)
     try:
-        with open(path, "wb") as fh:
-            fh.write(HEADER.pack(MAGIC, len(emb), emb.dim, 0))
-            for item_id in emb.ids:
-                raw = item_id.encode("utf-8")
-                if len(raw) > 0xFFFF:
-                    raise IoFailure(f"id longer than 65535 bytes: {item_id[:32]}...")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-            fh.write(emb.vectors.astype("<f4", copy=False).tobytes())
+        with atomic_open(path, "wb") as fh:
+            fh.write(b"".join(head))
+            fh.write(emb.vectors.astype("<f4", copy=False).data)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
@@ -148,39 +148,29 @@ def load_embeddings(path) -> EmbeddingSet:
         )
     if len(data) - off > payload:
         raise TruncatedFile(f"{path}: {len(data) - off - payload} trailing bytes")
+    # a read-only view of the file's bytes, not a copy: peak memory ~ file size
     vectors = np.frombuffer(
         data, dtype="<f4", count=count * dim, offset=off
-    ).reshape(count, dim).copy()
+    ).reshape(count, dim)
     return EmbeddingSet(ids=tuple(ids), vectors=vectors)
 
 
 def make_sidecar(path, scale: str, model: str) -> dict:
     """Sidecar manifest describing one embedding file, with its sha256."""
-    import hashlib
-    import json
-
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = sha256_file(path)
     sidecar = {"path": str(path), "scale": scale, "model": model, "sha256": digest}
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    write_json(f"{path}.json", sidecar)
     return sidecar
 
 
 def load_from_sidecar(sidecar_path) -> tuple[str, EmbeddingSet]:
     """Load (scale label, embeddings) via a sidecar, verifying the sha256."""
-    import hashlib
-    import json
-
     with open(sidecar_path, encoding="utf-8") as fh:
         sidecar = json.load(fh)
     emb_path = sidecar["path"]
     if not os.path.isabs(emb_path):
         emb_path = os.path.join(os.path.dirname(os.path.abspath(sidecar_path)), emb_path)
-    with open(emb_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    if digest != sidecar["sha256"]:
+    if sha256_file(emb_path) != sidecar["sha256"]:
         raise IoFailure(f"{emb_path}: sha256 mismatch against sidecar")
     return sidecar.get("scale", ""), load_embeddings(emb_path)
 

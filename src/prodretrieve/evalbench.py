@@ -8,12 +8,14 @@ every ground-truth query either way.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embed_store import EmbeddingSet
 from .errors import InvalidParams, UnknownGalleryId
+from .fileio import atomic_open
 from .search import RankingList
 
 DEFAULT_K = 10
@@ -110,19 +112,20 @@ def gen_synthetic(
     relevant = {}
     for c in range(n_classes):
         centroid = rng.standard_normal(dim)
-        centroid /= np.linalg.norm(centroid)
+        # np.linalg.norm's own 1-D formula (same bits), without its overhead
+        centroid /= math.sqrt(centroid.dot(centroid))
         class_gallery = []
         for i in range(gallery_per_class):
             vec = centroid + noise_sigma * rng.standard_normal(dim)
             gid = f"g{c:05d}_{i:03d}"
             g_ids.append(gid)
-            g_rows.append(vec / np.linalg.norm(vec))
+            g_rows.append(vec / math.sqrt(vec.dot(vec)))
             class_gallery.append(gid)
         for i in range(queries_per_class):
             vec = centroid + noise_sigma * rng.standard_normal(dim)
             qid = f"q{c:05d}_{i:03d}"
             q_ids.append(qid)
-            q_rows.append(vec / np.linalg.norm(vec))
+            q_rows.append(vec / math.sqrt(vec.dot(vec)))
             relevant[qid] = set(class_gallery)
 
     gallery = EmbeddingSet(tuple(g_ids), np.asarray(g_rows, dtype=np.float32))
@@ -133,12 +136,13 @@ def gen_synthetic(
 # --- on-disk formats ---
 
 def save_ground_truth(gt: GroundTruth, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid in sorted(gt.relevant):
-            fh.write(json.dumps(
-                {"query": qid, "relevant": sorted(gt.relevant[qid])},
-                separators=(",", ":"),
-            ) + "\n")
+    # json.dumps would build a new encoder per line for these separators
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    with atomic_open(path, "w") as fh:
+        fh.write("".join(
+            encode({"query": qid, "relevant": sorted(gt.relevant[qid])}) + "\n"
+            for qid in sorted(gt.relevant)
+        ))
 
 
 def load_ground_truth(path) -> GroundTruth:

@@ -3,7 +3,7 @@
 There is no network protocol: the coordinator forks one worker process
 per shard, and workers share nothing with it but the job directory. Each
 worker loads the manifest and inputs itself and commits its shard file by
-atomic rename, so a killed worker leaves at most a temp file and its shard
+fsync + rename, so a killed worker leaves at most a temp file and its shard
 is indistinguishable from one that never ran. Missing shards are tolerated
 (or fatal, under the strict policy) and reported by query id, with every
 non-zero worker exit code. The `worker` CLI subcommand runs one shard by
@@ -20,6 +20,7 @@ from multiprocessing.connection import wait
 
 from .embed_store import load_embeddings
 from .errors import InvalidParams, ManifestInvalid, ShardsMissing
+from .fileio import write_json
 from .rerank import (
     RerankParams,
     ShardManifest,
@@ -118,9 +119,7 @@ def create_job(
 
 
 def save_manifest(manifest: JobManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, manifest.to_dict())
 
 
 def load_manifest(path) -> JobManifest:
@@ -140,8 +139,8 @@ def load_manifest(path) -> JobManifest:
 
 def worker_run(
     manifest_path, shard_index: int, inject_fail: bool = False, threads: int = 1
-) -> None:
-    """Compute this shard's re-ranked top-k lists and commit them atomically.
+) -> str:
+    """Commit this shard's re-ranked top-k lists atomically; return the path.
 
     Neighbor structures are computed over the full joint set, identically
     in every shard, so shard outputs never depend on the shard count.
@@ -166,6 +165,7 @@ def worker_run(
             fh.write(b"partial")
         raise RuntimeError("injected failure before commit")
     write_shard_result(lists, out_path)
+    return out_path
 
 
 def coordinator_run(

@@ -26,6 +26,7 @@ from .errors import (
     PoolTooSmall,
     TargetBelowClusterCount,
 )
+from .fileio import atomic_open
 from .search import NORM_TOL
 
 CONFIDENT_MAX_SIZE = 10  # kept clusters must be strictly smaller than this
@@ -232,7 +233,7 @@ def save_clusters(result: ClusterResult, path) -> None:
         "clusters": [list(c) for c in result.clusters],
         "pool": list(result.unclustered_pool),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
@@ -256,7 +257,7 @@ def load_clusters(path) -> ClusterResult:
 
 def save_assignment(assignment: PseudoLabelAssignment, path) -> None:
     """JSON Lines of {"id": ..., "class": int}, in ascending id order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w") as fh:
         for item in sorted(assignment.class_of):
             fh.write(json.dumps(
                 {"id": item, "class": assignment.class_of[item]},

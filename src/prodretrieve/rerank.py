@@ -28,8 +28,9 @@ O(QUERY_BLOCK*n + n*k1^2 + k2*nnz(V)), where nnz(V) <= n*k1*(1 + ceil(k1/2)).
 
 Large jobs are split by query index modulo the shard count; every shard
 recomputes the shared neighbor structures identically, so merged results
-are bit-identical regardless of shard count. Shard result files carry an
-FNV-1a checksum so partial writes from killed workers are detected.
+are bit-identical regardless of shard count. A shard result file is
+committed by fsync + rename and ends in a {"sha256": ...} trailer over its
+payload, so a partial, corrupted or old-format file is refused, never merged.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ import numpy as np
 
 from .embed_store import EmbeddingSet
 from .errors import CorruptShard, InvalidParams, TooFewItems
+from .fileio import atomic_open
 from .search import (
     DistanceMatrix,
     RankingList,
@@ -53,10 +55,6 @@ from .search import (
 )
 
 EXPANSION_OVERLAP = 2.0 / 3.0
-
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_FNV_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -312,43 +310,34 @@ def build_shard_manifest(
     return manifest
 
 
-def fnv1a64(payload: bytes) -> int:
-    h = FNV_OFFSET
-    for b in payload:
-        h = ((h ^ b) * FNV_PRIME) & _FNV_MASK
-    return h
-
-
 def shard_result_bytes(lists) -> bytes:
-    """Serialize ranking lists plus the trailing checksum line."""
+    """Serialize ranking lists plus the trailing sha256 line."""
+    import hashlib  # on use: it loads OpenSSL, ~4 MB of RSS
     payload = "".join(ranking_to_json(rl) + "\n" for rl in lists).encode("utf-8")
-    trailer = json.dumps({"checksum": f"{fnv1a64(payload):016x}"}) + "\n"
+    trailer = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()}) + "\n"
     return payload + trailer.encode("utf-8")
 
 
 def write_shard_result(lists, path) -> None:
-    """Atomic commit: write to a temp name, then rename."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    """Commit one shard's lists atomically (fsync + rename)."""
+    with atomic_open(path, "wb") as fh:
         fh.write(shard_result_bytes(lists))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def read_shard_result(data: bytes) -> list[RankingList]:
-    """Parse and checksum-verify one shard file's bytes."""
+    """Parse and sha256-verify one shard file's bytes; any other trailer,
+    such as the former FNV-1a {"checksum": ...}, raises CorruptShard."""
+    import hashlib  # on use: it loads OpenSSL, ~4 MB of RSS
     text = data.decode("utf-8", errors="replace")
     lines = text.splitlines(keepends=True)
     if not lines:
         raise CorruptShard("empty shard file")
     payload = "".join(lines[:-1]).encode("utf-8")
     try:
-        trailer = json.loads(lines[-1])
-        declared = int(trailer["checksum"], 16)
+        declared = json.loads(lines[-1])["sha256"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptShard(f"bad checksum trailer: {exc}") from exc
-    if fnv1a64(payload) != declared:
+    if hashlib.sha256(payload).hexdigest() != declared:
         raise CorruptShard("checksum mismatch")
     return [ranking_from_json(line) for line in lines[:-1] if line.strip()]
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .embed_store import EmbeddingSet, row_norms
 from .errors import DimMismatch, NotNormalized, UnmappedCropId
+from .fileio import atomic_open, write_json
 
 NORM_TOL = 1e-4
 
@@ -209,12 +210,14 @@ def aggregate_crops(matrix: DistanceMatrix, crop_map: CropGroupMap) -> DistanceM
 # --- on-disk formats ---
 
 def save_matrix(matrix: DistanceMatrix, path) -> None:
-    np.savez(
-        path,
-        query_ids=np.array(matrix.query_ids, dtype=object),
-        gallery_ids=np.array(matrix.gallery_ids, dtype=object),
-        values=matrix.values,
-    )
+    # saved through a handle, np.savez adds no ".npz" suffix to `path`
+    with atomic_open(path, "wb") as fh:
+        np.savez(
+            fh,
+            query_ids=np.array(matrix.query_ids, dtype=object),
+            gallery_ids=np.array(matrix.gallery_ids, dtype=object),
+            values=matrix.values,
+        )
 
 
 def load_matrix(path) -> DistanceMatrix:
@@ -249,7 +252,7 @@ def ranking_from_json(line: str, k: int | None = None) -> RankingList:
 
 
 def write_ranking_lists(lists, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w") as fh:
         for rl in lists:
             fh.write(ranking_to_json(rl) + "\n")
 
@@ -272,9 +275,7 @@ def save_crop_map(crop_map: CropGroupMap, path) -> None:
         "scheme": crop_map.scheme,
         "groups": {p: sorted(c) for p, c in sorted(groups.items())},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_crop_map(path) -> CropGroupMap:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from prodretrieve import embed_store
 from prodretrieve.errors import (
     DuplicateId,
+    IoFailure,
     MagicMismatch,
     MisalignedScales,
     NonFiniteValue,
@@ -125,6 +127,36 @@ class TestFormat:
         (tmp_path / "trunc.emb").write_bytes(path.read_bytes()[:18])
         with pytest.raises(TruncatedFile):
             load_embeddings(tmp_path / "trunc.emb")
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        """An id too long for EMB1 fails the save; the file already at the
+        path survives and no temp file is left."""
+        path = tmp_path / "a.emb"
+        save_embeddings(make_set(["old"], [[1.0, 2.0]]), path)
+        before = path.read_bytes()
+        bad = make_set(["ok", "x" * 70_000], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(IoFailure):
+            save_embeddings(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.emb"]
+
+    def test_load_peak_memory_about_file_size(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "big.emb"
+        save_embeddings(
+            make_set([f"i{i}" for i in range(10_000)],
+                     rng.standard_normal((10_000, 1024), dtype=np.float32)),
+            path,
+        )
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            emb = load_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emb.vectors.shape == (10_000, 1024)
+        assert peak < 1.5 * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"
 
 
 class TestValidation:

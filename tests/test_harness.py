@@ -296,3 +296,5 @@ class TestCoordinator:
         assert report["exit_codes"] == {"1": 1}
         assert len(report["missing_queries"]) == 8
         assert len(out.read_text().splitlines()) == 8
+        # the worker's failed commit removes its temp file
+        assert not list(job_dir.glob("*.tmp.*"))

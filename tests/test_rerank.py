@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,6 @@ from prodretrieve.rerank import (
     RerankParams,
     ShardManifest,
     build_shard_manifest,
-    fnv1a64,
     kreciprocal_rerank,
     merge_shard_results,
     read_shard_result,
@@ -204,10 +205,26 @@ class TestShardFiles:
             for i in range(n)
         ]
 
-    def test_fnv1a_known_value(self):
-        # standard FNV-1a 64-bit test vector
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    def test_sha256_trailer(self):
+        data = shard_result_bytes(self._lists())
+        payload, trailer = data[:-1].rsplit(b"\n", 1)
+        assert json.loads(trailer) == {
+            "sha256": hashlib.sha256(payload + b"\n").hexdigest()
+        }
+
+    def test_old_checksum_trailer_refused(self, tmp_path):
+        """A shard written with the former FNV-1a {"checksum": ...} trailer
+        (a valid one) is corrupt, and the merge reports it, never merges it."""
+        old = (
+            b'{"query":"q0","ranks":[["g0",0.25],["g1",0.5]],"orientation":"distance"}\n'
+            b'{"checksum": "26f73f83976871fb"}\n'
+        )
+        with pytest.raises(CorruptShard):
+            read_shard_result(old)
+        manifest = build_shard_manifest(1, 1, tmp_path, query_ids=["q0"])
+        (tmp_path / "shard_0.jsonl").write_bytes(old)
+        results, report = merge_shard_results(manifest, tmp_path)
+        assert results == [] and report.reasons == {0: "checksum"}
 
     def test_write_read_round_trip(self, tmp_path):
         lists = self._lists()

@@ -21,13 +21,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 
-PIPELINE_OPS = {
-    "normalize", "fuse", "search", "crop-agg", "rerank", "shard", "merge",
-    "worker", "coordinate", "max-ensemble", "vote-ensemble", "cluster",
-    "filter-clusters", "assign-labels", "gen-synth", "eval",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage errors."""
 
@@ -361,7 +354,7 @@ def _usage(message: str) -> int:
 def _step_argv(step: dict, base: str) -> tuple[list, list, list]:
     """Build (argv, input paths, output paths) for one pipeline step."""
     op = step.get("op")
-    if op not in PIPELINE_OPS:
+    if op not in HANDLERS:
         raise PipelineConfigError(f"step {step.get('name')!r}: unknown op {op!r}")
     argv = [op]
     inputs, outputs = [], []

@@ -15,7 +15,7 @@ import numpy as np
 
 from .embed_store import EmbeddingSet
 from .errors import InvalidParams, UnknownGalleryId
-from .fileio import atomic_open
+from .fileio import atomic_open, compact_json
 from .search import RankingList
 
 DEFAULT_K = 10
@@ -136,11 +136,9 @@ def gen_synthetic(
 # --- on-disk formats ---
 
 def save_ground_truth(gt: GroundTruth, path) -> None:
-    # json.dumps would build a new encoder per line for these separators
-    encode = json.JSONEncoder(separators=(",", ":")).encode
     with atomic_open(path, "w") as fh:
         fh.write("".join(
-            encode({"query": qid, "relevant": sorted(gt.relevant[qid])}) + "\n"
+            compact_json({"query": qid, "relevant": sorted(gt.relevant[qid])}) + "\n"
             for qid in sorted(gt.relevant)
         ))
 

@@ -1,4 +1,4 @@
-"""Atomic file commits and streaming file hashes.
+"""Atomic file commits, streaming file hashes and compact JSON lines.
 
 Every file the library writes goes through `atomic_open`, so a reader, or a
 crash at any point, sees the old file or the complete new one, never a prefix.
@@ -35,6 +35,11 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+# json.dumps builds a new JSONEncoder per call when given separators; every
+# JSON-lines writer shares this one, which holds no state between calls.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def write_json(path, obj) -> None:

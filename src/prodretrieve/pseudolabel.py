@@ -26,7 +26,7 @@ from .errors import (
     PoolTooSmall,
     TargetBelowClusterCount,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, compact_json
 from .search import NORM_TOL
 
 CONFIDENT_MAX_SIZE = 10  # kept clusters must be strictly smaller than this
@@ -259,7 +259,6 @@ def save_assignment(assignment: PseudoLabelAssignment, path) -> None:
     """JSON Lines of {"id": ..., "class": int}, in ascending id order."""
     with atomic_open(path, "w") as fh:
         for item in sorted(assignment.class_of):
-            fh.write(json.dumps(
-                {"id": item, "class": assignment.class_of[item]},
-                separators=(",", ":"),
+            fh.write(compact_json(
+                {"id": item, "class": assignment.class_of[item]}
             ) + "\n")

@@ -50,6 +50,8 @@ from .search import (
     _check_pair,
     _distance_block,
     _map_blocks,
+    _ranges,
+    _smallest,
     ranking_from_json,
     ranking_to_json,
 )
@@ -77,13 +79,6 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated aranges [s, s+l) for each start s and length l."""
-    idx = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    idx += np.arange(idx.size)
-    return idx
-
-
 def _in_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Membership of each probe in the sorted, non-empty array `keys`."""
     pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
@@ -91,19 +86,11 @@ def _in_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
 
 
 def _top_k(block: np.ndarray, start: int, k: int) -> np.ndarray:
-    """Per block row, the k nearest other items ordered by (distance, index).
-
-    Every column tied with the k-th distance is kept until the sort, so the
-    order is the one a stable full argsort gives.
-    """
+    """Per block row, the k nearest other items ordered by (distance, index),
+    the order a stable full argsort gives."""
     rows = np.arange(len(block))
     block[rows, start + rows] = np.inf
-    kth = np.partition(block, k - 1, axis=1)[:, k - 1]
-    r, c = np.nonzero(block <= kth[:, None])
-    order = np.lexsort((c, block[r, c], r))
-    counts = np.bincount(r, minlength=len(block))
-    take = (np.cumsum(counts) - counts)[:, None] + np.arange(k)
-    return c[order][take]
+    return _smallest(block, np.arange(block.shape[1]), k)
 
 
 def _reciprocal_keys(nbr: np.ndarray, k: int) -> np.ndarray:

@@ -3,10 +3,21 @@
 All scores travel in a DistanceMatrix (lower is better). Tie-breaks are
 always by ascending gallery id, so every stage is deterministic and shard
 merges can be compared byte-for-byte.
+
+Memory: `pairwise_cosine_distance` holds its nq x ng float32 output plus
+O(NORM_SLICE) float64 for the unit-norm check; sgemm writes each block
+straight into the output. `topk` adds, per QUERY_BLOCK rows, the selector's
+chunk minima and the chunks it gathers: about `k` chunks of ~2 sqrt(ng/k)
+columns per row. The worst case, rows of ties or a gallery narrower than
+256 k (selected over whole rows), is O(QUERY_BLOCK * ng). Selection is
+exact: every column tied with the k-th value is kept until the final sort,
+following the chunk-bound pruning of Johnson, Douze and Jegou,
+"Billion-scale similarity search with GPUs" (arXiv:1702.08734).
 """
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -14,9 +25,16 @@ import numpy as np
 
 from .embed_store import EmbeddingSet, row_norms
 from .errors import DimMismatch, NotNormalized, UnmappedCropId
-from .fileio import atomic_open, write_json
+from .fileio import atomic_open, compact_json, write_json
 
 NORM_TOL = 1e-4
+
+# Elements per slice of the unit-norm check, which works in float64.
+NORM_SLICE = 1 << 14
+
+# Narrowest chunk that the top-k selector prunes with; below it, selecting
+# over whole rows is faster.
+MIN_CHUNK = 32
 
 # Fixed query-block size: parallelism fans blocks out to threads, but the
 # work per block never depends on the thread count, so outputs are
@@ -41,8 +59,9 @@ class DistanceMatrix:
         expect = (len(self.query_ids), len(self.gallery_ids))
         if vals.shape != expect:
             raise ValueError(f"values shape {vals.shape}, expected {expect}")
-        if vals.size and not np.isfinite(vals).all():
-            raise ValueError("distance matrix contains NaN or inf")
+        for start in range(0, len(vals), QUERY_BLOCK):
+            if not np.isfinite(vals[start:start + QUERY_BLOCK]).all():
+                raise ValueError("distance matrix contains NaN or inf")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -101,12 +120,15 @@ def _check_pair(queries: EmbeddingSet, gallery: EmbeddingSet) -> None:
     if queries.dim != gallery.dim:
         raise DimMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     for name, emb in (("query", queries), ("gallery", gallery)):
-        if len(emb) == 0:
-            continue
-        dev = np.abs(row_norms(emb.vectors) - 1.0)
-        if dev.max() > NORM_TOL:
+        step = max(1, NORM_SLICE // max(1, emb.dim))
+        dev = max(
+            (np.abs(row_norms(emb.vectors[s:s + step]) - 1.0).max()
+             for s in range(0, len(emb), step)),
+            default=0.0,
+        )
+        if dev > NORM_TOL:
             raise NotNormalized(
-                f"{name} rows deviate from unit norm by up to {dev.max():.2e}"
+                f"{name} rows deviate from unit norm by up to {dev:.2e}"
             )
 
 
@@ -116,9 +138,11 @@ def _distance_block(queries: np.ndarray, gallery_t: np.ndarray, start: int, out=
     Every caller cuts the same fixed blocks, so a distance has the same bits
     whichever function computes it. Writes into `out` when given.
     """
-    sims = queries[start:start + QUERY_BLOCK] @ gallery_t
-    out = sims if out is None else out
-    np.subtract(np.float32(1.0), sims, out=out)
+    block = queries[start:start + QUERY_BLOCK]
+    if out is None:
+        out = np.empty((len(block), gallery_t.shape[1]), dtype=np.float32)
+    np.matmul(block, gallery_t, out=out)
+    np.subtract(np.float32(1.0), out, out=out)
     # float roundoff can leave tiny negatives on exact matches
     return np.clip(out, 0.0, 2.0, out=out)
 
@@ -154,34 +178,82 @@ def pairwise_cosine_distance(
 
 def _id_ranks(gallery_ids) -> np.ndarray:
     """Column index -> rank in ascending lexicographic id order."""
-    order = sorted(range(len(gallery_ids)), key=lambda j: gallery_ids[j])
+    order = sorted(range(len(gallery_ids)), key=gallery_ids.__getitem__)
     ranks = np.empty(len(gallery_ids), dtype=np.int64)
-    for r, j in enumerate(order):
-        ranks[j] = r
+    ranks[order] = np.arange(len(gallery_ids))
     return ranks
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated aranges [s, s+l) for each start s and length l."""
+    idx = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    idx += np.arange(idx.size)
+    return idx
+
+
+def _chunk_width(ng: int, take: int) -> int:
+    """Columns per chunk for pruned selection of `take` of `ng`, or 0 when
+    whole-row selection is faster.
+
+    Pruning costs one pass over the row plus about `take` gathered chunks;
+    a width of ~2 sqrt(ng/take) balances the two and leaves at least
+    8 * take chunks once it reaches MIN_CHUNK.
+    """
+    width = int(2 * math.sqrt(ng / take))
+    return width if width >= MIN_CHUNK else 0
+
+
+def _smallest(block: np.ndarray, rank: np.ndarray, take: int) -> np.ndarray:
+    """Per row, the columns of the `take` smallest values, ordered by
+    (value, rank[column]); `block` is read, never written.
+
+    Every column tied with the take-th value is kept until the final sort,
+    so the order is the one a full sort by (value, rank) gives. Wide rows
+    are pruned by chunk: the take-th smallest chunk minimum bounds the
+    take-th value from above, so only chunks whose minimum is within the
+    bound are gathered.
+    """
+    m, ng = block.shape
+    if take == 0:
+        return np.empty((m, 0), dtype=np.intp)
+    width = _chunk_width(ng, take)
+    if width:
+        chunk_min = np.minimum.reduceat(block, np.arange(0, ng, width), axis=1)
+        bound = np.partition(chunk_min, take - 1, axis=1)[:, take - 1]
+        rows, chunks = np.nonzero(chunk_min <= bound[:, None])
+        lengths = np.minimum(width, ng - chunks * width)
+        cols = _ranges(chunks * width, lengths)
+        rows = np.repeat(rows, lengths)
+        vals = block[rows, cols]
+        keep = vals <= bound[rows]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    else:
+        bound = np.partition(block, take - 1, axis=1)[:, take - 1]
+        rows, cols = np.nonzero(block <= bound[:, None])
+        vals = block[rows, cols]
+    order = np.lexsort((rank[cols], vals, rows))
+    counts = np.bincount(rows, minlength=m)
+    at = (np.cumsum(counts) - counts)[:, None] + np.arange(take)
+    return cols[order][at]
 
 
 def topk(matrix: DistanceMatrix, k: int) -> list[RankingList]:
     """Per query, the k smallest distances; ties by ascending gallery id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ng = len(matrix.gallery_ids)
-    idrank = _id_ranks(matrix.gallery_ids)
-    take = min(k, ng)
+    gids = matrix.gallery_ids
+    idrank = _id_ranks(gids)
+    take = min(k, len(gids))
     results = []
-    for qi, qid in enumerate(matrix.query_ids):
-        row = matrix.values[qi]
-        if take < ng:
-            part = np.argpartition(row, take - 1)[:take]
-            thresh = row[part].max()
-            # pull in every column tied with the boundary so the id
-            # tie-break stays canonical
-            cand = np.where(row <= thresh)[0]
-        else:
-            cand = np.arange(ng)
-        order = cand[np.lexsort((idrank[cand], row[cand]))][:take]
-        entries = tuple((matrix.gallery_ids[j], float(row[j])) for j in order)
-        results.append(RankingList(qid, entries, k=k))
+    for start in range(0, len(matrix.query_ids), QUERY_BLOCK):
+        block = matrix.values[start:start + QUERY_BLOCK]
+        cols = _smallest(block, idrank, take)
+        dists = np.take_along_axis(block, cols, axis=1)
+        for qid, row_cols, row_dists in zip(
+            matrix.query_ids[start:start + QUERY_BLOCK], cols.tolist(), dists.tolist()
+        ):
+            entries = tuple(zip([gids[j] for j in row_cols], row_dists))
+            results.append(RankingList(qid, entries, k=k))
     return results
 
 
@@ -230,14 +302,11 @@ def load_matrix(path) -> DistanceMatrix:
 
 
 def ranking_to_json(rl: RankingList) -> str:
-    return json.dumps(
-        {
-            "query": rl.query_id,
-            "ranks": [[g, s] for g, s in rl.entries],
-            "orientation": rl.orientation,
-        },
-        separators=(",", ":"),
-    )
+    return compact_json({
+        "query": rl.query_id,
+        "ranks": [[g, s] for g, s in rl.entries],
+        "orientation": rl.orientation,
+    })
 
 
 def ranking_from_json(line: str, k: int | None = None) -> RankingList:

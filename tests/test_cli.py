@@ -175,7 +175,8 @@ class TestSubcommands:
             "merge", "--job-dir", job_dir, "--out", merged, "--missing", missing,
         ]) == 0
         capsys.readouterr()
-        assert json.load(open(missing))["missing_queries"] == []
+        with open(missing) as fh:
+            assert json.load(fh)["missing_queries"] == []
 
         # byte-equivalent to in-process rerank + topk
         from prodretrieve.rerank import RerankParams, kreciprocal_rerank
@@ -188,7 +189,8 @@ class TestSubcommands:
         )
         expect = str(tmp_path / "direct.jsonl")
         write_ranking_lists(direct, expect)
-        assert open(merged, "rb").read() == open(expect, "rb").read()
+        with open(merged, "rb") as got, open(expect, "rb") as want:
+            assert got.read() == want.read()
 
     def test_vote_and_max_ensemble_cli(self, synth, tmp_path, capsys):
         m = str(tmp_path / "d.npz")

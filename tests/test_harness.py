@@ -124,13 +124,13 @@ class TestWorker:
             "import prodretrieve.harness as h\n"
             f"h.worker_run({str(job_dir / MANIFEST_NAME)!r}, 0)\n"
         )
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", script],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        )
-        assert proc.stdout.readline().strip() == "PARTIAL"
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
+        ) as proc:
+            assert proc.stdout.readline().strip() == "PARTIAL"
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
         assert not (job_dir / "shard_0.jsonl").exists()
         _, report = merge_shard_results(manifest.shards, str(job_dir))
         assert report.reasons == {0: "absent"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_rerank
+from prodretrieve import search
 from prodretrieve.embed_store import EmbeddingSet, l2_normalize
 from prodretrieve.evalbench import gen_synthetic
 from prodretrieve.errors import CorruptShard, InvalidParams, TooFewItems
@@ -41,6 +42,21 @@ def clustered_instance(seed, n_classes=6, per_class=5, n_queries=6, dim=8, sigma
         tuple(f"q{i:03d}" for i in range(n_queries)),
         np.asarray(query_rows, dtype=np.float32),
     ))
+    return queries, gallery
+
+
+def duplicate_instance():
+    """5 exact copies of each base vector: every probe has 4 neighbors at
+    distance 0, then a tied group of 5."""
+    rng = np.random.default_rng(0)
+    base = rng.normal(size=(6, 6))
+    rows = l2_normalize(EmbeddingSet(
+        tuple(f"i{k}" for k in range(30)),
+        np.repeat(base, 5, axis=0).astype(np.float32),
+    )).vectors
+    perm = rng.permutation(30)
+    queries = EmbeddingSet(tuple(f"q{k}" for k in range(7)), rows[perm[:7]])
+    gallery = EmbeddingSet(tuple(f"g{k}" for k in range(23)), rows[perm[7:]])
     return queries, gallery
 
 
@@ -115,19 +131,9 @@ class TestKReciprocal:
         assert part.values.tobytes() == full.values[[1, 4]].tobytes()
 
     def test_duplicate_vectors_tie_at_k_boundaries(self):
-        # 5 exact copies of each base vector: every probe has 4 neighbors at
-        # distance 0, then a tied group of 5, so the k2=3 boundary falls
-        # inside the first tie and the k1=6 boundary inside the second; only
-        # the index tie-break decides who is in N(p,k)
-        rng = np.random.default_rng(0)
-        base = rng.normal(size=(6, 6))
-        rows = l2_normalize(EmbeddingSet(
-            tuple(f"i{k}" for k in range(30)),
-            np.repeat(base, 5, axis=0).astype(np.float32),
-        )).vectors
-        perm = rng.permutation(30)
-        queries = EmbeddingSet(tuple(f"q{k}" for k in range(7)), rows[perm[:7]])
-        gallery = EmbeddingSet(tuple(f"g{k}" for k in range(23)), rows[perm[7:]])
+        # the k2=3 boundary falls inside the first tie and the k1=6 boundary
+        # inside the second; only the index tie-break decides who is in N(p,k)
+        queries, gallery = duplicate_instance()
         params = RerankParams(6, 3, 0.3)
         got = kreciprocal_rerank(queries, gallery, params)
         expect = naive_rerank(
@@ -136,6 +142,32 @@ class TestKReciprocal:
         np.testing.assert_allclose(got.values, expect, atol=1e-5)
         part = kreciprocal_rerank(queries, gallery, params, query_rows=[6, 0, 3])
         assert part.values.tobytes() == got.values[[6, 0, 3]].tobytes()
+
+    def test_pruned_selection_matches_oracle_on_ties(self, monkeypatch):
+        # chunks of 4 columns force the pruned top-k1 selector, with the
+        # tied groups straddling chunk boundaries
+        queries, gallery = duplicate_instance()
+        params = RerankParams(6, 3, 0.3)
+        monkeypatch.setattr(search, "_chunk_width", lambda ng, take: 4)
+        got = kreciprocal_rerank(queries, gallery, params)
+        expect = naive_rerank(
+            queries.vectors.tolist(), gallery.vectors.tolist(), 6, 3, 0.3
+        )
+        np.testing.assert_allclose(got.values, expect, atol=1e-5)
+        monkeypatch.setattr(search, "_chunk_width", lambda ng, take: 0)
+        whole = kreciprocal_rerank(queries, gallery, params)
+        assert got.values.tobytes() == whole.values.tobytes()
+
+    def test_pruned_pass_one_is_byte_equal_at_3000(self, monkeypatch):
+        # at 3,000 joint items and k1=10, pass 1 prunes by chunk on its own
+        gallery, queries, _ = gen_synthetic(300, 6, 4, 64, 0.35, seed=7)
+        assert len(queries) + len(gallery) == 3000
+        assert search._chunk_width(3000, 10) > 0
+        params = RerankParams(10, 4, 0.3)
+        pruned = kreciprocal_rerank(queries, gallery, params)
+        monkeypatch.setattr(search, "_chunk_width", lambda ng, take: 0)
+        whole = kreciprocal_rerank(queries, gallery, params)
+        assert pruned.values.tobytes() == whole.values.tobytes()
 
     def test_memory_stays_far_below_dense(self):
         """4,000 joint items: six dense n x n arrays would take 48 n^2 bytes,

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import naive_cosine_distance, naive_group_min, naive_topk
-from prodretrieve.embed_store import EmbeddingSet, l2_normalize
+from prodretrieve import search
+from prodretrieve.embed_store import EmbeddingSet, l2_normalize, row_norms
 from prodretrieve.errors import DimMismatch, NotNormalized, UnmappedCropId
 from prodretrieve.search import (
+    MIN_CHUNK,
+    NORM_SLICE,
+    QUERY_BLOCK,
     CropGroupMap,
     DistanceMatrix,
     RankingList,
@@ -28,6 +34,17 @@ def unit_set(ids, rows):
 
 def random_unit(rng, ids, dim):
     return unit_set(ids, rng.normal(size=(len(ids), dim)))
+
+
+def shuffled_ids(rng, n):
+    """Gallery ids whose sort order differs from their column order."""
+    return tuple(f"g{j:05d}" for j in rng.permutation(n))
+
+
+def chunks_of(width):
+    """A _chunk_width that forces the top-k selector's branch: 0 selects over
+    whole rows, any other width prunes by chunks of that many columns."""
+    return lambda ng, take: width
 
 
 class TestPairwiseDistance:
@@ -68,6 +85,45 @@ class TestPairwiseDistance:
         with pytest.raises(NotNormalized):
             pairwise_cosine_distance(q, raw)
 
+    def test_not_normalized_in_last_norm_slice(self):
+        # the only bad row is the last one, alone in the final norm slice;
+        # the message gives the deviation over all rows, as a whole-set
+        # row_norms does
+        rng = np.random.default_rng(20)
+        dim = 64
+        n = 3 * (NORM_SLICE // dim) + 1
+        g = random_unit(rng, [f"g{i}" for i in range(n)], dim)
+        vecs = g.vectors.copy()
+        vecs[-1] *= np.float32(1.01)
+        bad = EmbeddingSet(g.ids, vecs)
+        dev = np.abs(row_norms(vecs) - 1.0).max()
+        q = random_unit(rng, ["q"], dim)
+        with pytest.raises(NotNormalized) as err:
+            pairwise_cosine_distance(q, bad)
+        assert str(err.value) == f"gallery rows deviate from unit norm by up to {dev:.2e}"
+
+    def test_nan_in_last_row_block_rejected(self):
+        vals = np.zeros((2 * QUERY_BLOCK + 3, 4), np.float32)
+        vals[-1, 2] = np.nan
+        ids = tuple(f"q{i}" for i in range(len(vals)))
+        with pytest.raises(ValueError, match="NaN or inf"):
+            DistanceMatrix(ids, ("a", "b", "c", "d"), vals)
+
+    def test_memory_about_one_matrix(self):
+        """Distances plus top-k peak near the output's own size: no full-size
+        temporary, only O(NORM_SLICE) norms and per-block selector arrays."""
+        rng = np.random.default_rng(21)
+        q = random_unit(rng, [f"q{i}" for i in range(512)], 64)
+        g = random_unit(rng, [f"g{i}" for i in range(20000)], 64)
+        tracemalloc.start()
+        try:
+            m = pairwise_cosine_distance(q, g)
+            topk(m, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * m.values.nbytes
+
     def test_thread_count_does_not_change_bytes(self):
         rng = np.random.default_rng(13)
         q = random_unit(rng, [f"q{i}" for i in range(300)], 32)
@@ -107,6 +163,63 @@ class TestTopK:
         for qi, rl in enumerate(lists):
             expect = naive_topk(vals[qi].tolist(), gallery_ids, 10)
             assert list(rl.entries) == [(g, pytest.approx(d)) for g, d in expect]
+
+    @staticmethod
+    def assert_matches_oracle(vals, gallery_ids, k):
+        m = DistanceMatrix(tuple(f"q{i}" for i in range(len(vals))), gallery_ids, vals)
+        for qi, rl in enumerate(topk(m, k)):
+            expect = naive_topk(vals[qi].tolist(), gallery_ids, k)
+            # repr tells -0.0 from 0.0
+            assert [(g, repr(d)) for g, d in rl.entries] == [
+                (g, repr(d)) for g, d in expect
+            ]
+
+    @pytest.mark.parametrize("width", [None, 0, 1, 7, 12])
+    def test_selector_branches_match_oracle(self, monkeypatch, width):
+        """Ties straddle chunk boundaries, 503 columns are no multiple of any
+        forced width, and one row is all equal; None keeps the natural choice."""
+        if width is not None:
+            monkeypatch.setattr(search, "_chunk_width", chunks_of(width))
+        rng = np.random.default_rng(22)
+        ng = 503
+        vals = np.round(rng.random((QUERY_BLOCK + 5, ng)), 2).astype(np.float32)
+        vals[0] = 0.25
+        vals[1, 5:14] = 0.01  # a tie group across the 7- and 12-column boundaries
+        vals[2, 496:] = 0.0  # the best values sit in the last, partial chunk
+        for k in (1, 3, 10, 40):
+            self.assert_matches_oracle(vals, shuffled_ids(rng, ng), k)
+
+    @pytest.mark.parametrize("width", [None, 0, 1])
+    def test_narrow_gallery_matches_oracle(self, monkeypatch, width):
+        # ng < k, and ng == k: every column is selected
+        if width is not None:
+            monkeypatch.setattr(search, "_chunk_width", chunks_of(width))
+        rng = np.random.default_rng(23)
+        vals = np.round(rng.random((4, 6)), 1).astype(np.float32)
+        for k in (6, 10):
+            self.assert_matches_oracle(vals, shuffled_ids(rng, 6), k)
+
+    @pytest.mark.parametrize("width", [None, 0, 3])
+    def test_signed_zero_matches_oracle(self, monkeypatch, width):
+        if width is not None:
+            monkeypatch.setattr(search, "_chunk_width", chunks_of(width))
+        rng = np.random.default_rng(24)
+        vals = rng.random((3, 60)).astype(np.float32)
+        vals[:, ::4] = np.float32(-0.0)
+        vals[:, 1::4] = np.float32(0.0)
+        vals[2] = np.float32(-0.0)
+        for k in (5, 20):
+            self.assert_matches_oracle(vals, shuffled_ids(rng, 60), k)
+
+    def test_branch_point(self):
+        # pruning starts where the chunk width reaches MIN_CHUNK: ng = 256 k
+        k = 4
+        assert search._chunk_width(256 * k, k) == MIN_CHUNK
+        assert search._chunk_width(256 * k - 1, k) == 0
+        rng = np.random.default_rng(25)
+        for ng in (256 * k - 1, 256 * k):
+            vals = np.round(rng.random((5, ng)), 3).astype(np.float32)
+            self.assert_matches_oracle(vals, shuffled_ids(rng, ng), k)
 
     def test_invariant_under_gallery_permutation(self):
         rng = np.random.default_rng(16)

@@ -1,13 +1,20 @@
 """Coordinator/worker execution of sharded re-ranking over a job directory.
 
-There is no network protocol: the coordinator forks one worker process
-per shard, and workers share nothing with it but the job directory. Each
-worker loads the manifest and inputs itself and commits its shard file by
-fsync + rename, so a killed worker leaves at most a temp file and its shard
-is indistinguishable from one that never ran. Missing shards are tolerated
-(or fatal, under the strict policy) and reported by query id, with every
-non-zero worker exit code. The `worker` CLI subcommand runs one shard by
-hand, or on another host that sees the job directory.
+There is no network protocol. The coordinator loads the job's inputs and
+builds the re-ranking neighbour index (`rerank.build_neighbours`) once,
+then forks one worker process per shard. Each worker inherits the index
+copy-on-write, re-ranks only its own query rows and makes no BLAS call;
+the job directory carries the manifest in and the shard files out. Since
+the build runs before any fork, a data error in the inputs (too few items,
+rows not unit-norm, mismatched dims) ends the job with that error, not with
+every shard lost. A worker commits its shard file by fsync + rename, so a
+killed worker leaves at most a temp file and its shard is indistinguishable
+from one that never ran. Missing shards are tolerated (or fatal, under the
+strict policy) and reported by query id, with every non-zero worker exit
+code and each worker's wall time. The `worker` CLI subcommand runs one
+shard by hand, or on another host that sees the job directory; it builds
+the index itself with the same function, so its shard file has the same
+bytes.
 """
 from __future__ import annotations
 
@@ -15,6 +22,7 @@ import datetime
 import json
 import multiprocessing
 import os
+import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 
@@ -22,11 +30,14 @@ from .embed_store import load_embeddings
 from .errors import InvalidParams, ManifestInvalid, ShardsMissing
 from .fileio import write_json
 from .rerank import (
+    NeighbourIndex,
     RerankParams,
     ShardManifest,
+    build_neighbours,
     build_shard_manifest,
     kreciprocal_rerank,
     merge_shard_results,
+    rerank_rows,
     write_shard_result,
 )
 from .search import topk
@@ -138,12 +149,19 @@ def load_manifest(path) -> JobManifest:
 
 
 def worker_run(
-    manifest_path, shard_index: int, inject_fail: bool = False, threads: int = 1
+    manifest_path,
+    shard_index: int,
+    inject_fail: bool = False,
+    threads: int = 1,
+    index: NeighbourIndex | None = None,
 ) -> str:
     """Commit this shard's re-ranked top-k lists atomically; return the path.
 
-    Neighbor structures are computed over the full joint set, identically
-    in every shard, so shard outputs never depend on the shard count.
+    `index` is the job's neighbour index when the coordinator built it
+    before forking. Without it the worker loads the inputs and builds its
+    own with the same function (`kreciprocal_rerank` composes it with
+    `rerank_rows`), so shard outputs depend neither on the shard count nor
+    on who built the index.
     """
     manifest = load_manifest(manifest_path)
     if not (0 <= shard_index < manifest.shards.n_shards):
@@ -151,12 +169,15 @@ def worker_run(
             f"shard {shard_index} out of range 0..{manifest.shards.n_shards - 1}"
         )
     job_dir = os.path.dirname(os.path.abspath(manifest_path))
-    queries = load_embeddings(manifest.query_path)
-    gallery = load_embeddings(manifest.gallery_path)
     rows = manifest.shards.shard_rows(shard_index)
-    matrix = kreciprocal_rerank(
-        queries, gallery, manifest.params, query_rows=rows, threads=threads
-    )
+    if index is None:
+        matrix = kreciprocal_rerank(
+            load_embeddings(manifest.query_path),
+            load_embeddings(manifest.gallery_path),
+            manifest.params, query_rows=rows, threads=threads,
+        )
+    else:
+        matrix = rerank_rows(index, rows)
     lists = topk(matrix, manifest.depth)
     out_path = os.path.join(job_dir, manifest.shards.result_files[shard_index])
     if inject_fail:
@@ -174,11 +195,15 @@ def coordinator_run(
     fail_policy: str = "tolerate",
     threads: int = 1,
 ):
-    """Fan shards out to forked worker processes, then merge whatever landed.
+    """Build the neighbour index, fan shards out to forked workers that
+    share it, then merge whatever landed.
 
-    Workers are forked, not spawned: a fresh interpreter would re-import
-    numpy for every shard. The "fork" context is named explicitly because
-    the platform default may be forkserver, which re-imports too.
+    Errors in the inputs raise here, before any fork. Workers are forked,
+    not spawned: a fresh interpreter would re-import numpy and could not
+    inherit the index. The "fork" context is named explicitly because the
+    platform default may be forkserver. The index (4*nq*ng + 16*nnz(V)
+    bytes, see `rerank.NeighbourIndex`) is released once the last worker is
+    forked; the inputs, as soon as it is built.
     """
     if fail_policy not in ("tolerate", "strict"):
         raise InvalidParams(f"unknown fail policy {fail_policy!r}")
@@ -186,28 +211,39 @@ def coordinator_run(
         raise InvalidParams("parallelism must be >= 1")
     manifest = load_manifest(manifest_path)
     job_dir = os.path.dirname(os.path.abspath(manifest_path))
+    index = build_neighbours(
+        load_embeddings(manifest.query_path),
+        load_embeddings(manifest.gallery_path),
+        manifest.params, threads,
+    )
 
     fork = multiprocessing.get_context("fork")
     pending = list(range(manifest.shards.n_shards))
-    running: dict = {}  # sentinel -> (shard, process)
+    running: dict = {}  # sentinel -> (shard, process, start time)
     exit_codes: dict[int, int] = {}
+    wall_s: dict[int, float] = {}
     while pending or running:
         while pending and len(running) < parallelism:
             shard = pending.pop(0)
             proc = fork.Process(
                 target=worker_run, args=(manifest_path, shard),
-                kwargs={"threads": threads},
+                kwargs={"threads": threads, "index": index},
             )
-            proc.start()
-            running[proc.sentinel] = (shard, proc)
+            started = time.monotonic()
+            proc.start()  # drops the Process's own reference to its kwargs
+            running[proc.sentinel] = (shard, proc, started)
+        if not pending:
+            index = None  # every worker holds its own copy from here on
         for sentinel in wait(list(running)):
-            shard, proc = running.pop(sentinel)
+            shard, proc, started = running.pop(sentinel)
             proc.join()
+            wall_s[shard] = time.monotonic() - started
             if proc.exitcode:
                 exit_codes[shard] = proc.exitcode
 
     results, report = merge_shard_results(manifest.shards, job_dir)
     report.exit_codes.update(sorted(exit_codes.items()))  # in shard order
+    report.wall_s.update(sorted(wall_s.items()))
     if fail_policy == "strict" and not report.ok:
         raise ShardsMissing(
             f"shards {sorted(report.reasons)} missing, corrupt, stale or unreadable"

@@ -13,22 +13,30 @@ evidence over the joint query+gallery set P of n items:
  6. weighted Jaccard distance dJ = 1 - sum(min)/sum(max)
  7. final distance (1-lambda)*dJ + lambda*d, reported for query x gallery
 
-No n x n array is ever built. d is streamed twice in the fixed
-QUERY_BLOCK-row blocks of `search`, so each distance has the bits
+The work splits in two. `build_neighbours` does steps 1-5 once over the
+whole joint set and returns a read-only `NeighbourIndex`; `rerank_rows`
+does steps 6-7 for any subset of its query rows, and `kreciprocal_rerank`
+is the two in turn. No n x n array is ever built. d is streamed twice in
+the fixed QUERY_BLOCK-row blocks of `search`, so each distance has the bits
 `pairwise_cosine_distance` gives it: the first pass keeps the top-k1 lists
-N(p,k1), the second gathers d on R*(p,k1) and on the reported rows. The
-reciprocal sets and the expansion work on sorted flat keys p*n+g; V and its
-query expansion are CSR arrays, and the expansion sums each group in the
-order the dense mean over {p} + N(p,k2) does. The Jaccard step walks an
+N(p,k1), the second gathers d on R*(p,k1) and on the query x gallery block.
+The reciprocal sets and the expansion work on sorted flat keys p*n+g; V and
+its query expansion are CSR arrays, and the expansion sums each group in
+the order the dense mean over {p} + N(p,k2) does. The Jaccard step walks an
 inverted index over the gallery rows' columns and takes
 sum(max) = |v_q|_1 + |v_g|_1 - sum(min), the trick of Zhong et al.,
 "Re-ranking Person Re-identification with k-reciprocal Encoding"
-(CVPR 2017). Besides the len(query_rows) x n_gallery output, memory is
-O(QUERY_BLOCK*n + n*k1^2 + k2*nnz(V)), where nnz(V) <= n*k1*(1 + ceil(k1/2)).
+(CVPR 2017). The build holds O(QUERY_BLOCK*n + n*k1^2 + k2*nnz(V)) bytes
+at its peak, where nnz(V) <= n*k1*(1 + ceil(k1/2)). The index it keeps is
+4*nq*ng bytes for d plus 16 bytes per nonzero of the query-expanded V,
+which has at most (k2 + 1)*nnz(V). `rerank_rows` adds only its
+len(rows) x ng output.
 
-Large jobs are split by query index modulo the shard count; every shard
-recomputes the shared neighbor structures identically, so merged results
-are bit-identical regardless of shard count. A shard result file is
+Large jobs are split by query index modulo the shard count. The job
+harness builds the index once and each shard re-ranks its own rows of it;
+a shard run on its own builds the same index itself. A row's bits depend
+only on the index, so merged results are bit-identical regardless of shard
+count or of which process built the index. A shard result file is
 committed by fsync + rename and ends in a {"sha256": ...} trailer over its
 payload, so a partial, corrupted or old-format file is refused, never merged.
 """
@@ -37,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -136,6 +144,126 @@ def _query_expansion(nbr: np.ndarray, k2: int, rows, cols, v):
     return rows, cols, np.bincount(inverse, weights=v[idx]) / width
 
 
+@dataclass(frozen=True, eq=False)
+class NeighbourIndex:
+    """Everything the Jaccard step reads of the joint set, built once.
+
+    `q_ptr`, `q_cols` and `q_vals` are the query rows of the expanded V in
+    CSR form. `col_ptr`, `post_rows` and `post_vals` are its gallery rows as
+    an inverted index: for each column, the gallery rows that hold it.
+    `norms` is |V_p|_1 for all n items and `d` the nq x ng original
+    distances. Each nonzero of the query-expanded V is held once, as an
+    int64 index and a float64 value, so the index takes
+    4*nq*ng + 16*nnz(V) + O(n) bytes.
+    Its arrays are read-only, so no caller can change what another reads.
+    """
+
+    query_ids: tuple[str, ...]
+    gallery_ids: tuple[str, ...]
+    params: RerankParams
+    q_ptr: np.ndarray
+    q_cols: np.ndarray
+    q_vals: np.ndarray
+    norms: np.ndarray
+    col_ptr: np.ndarray
+    post_rows: np.ndarray
+    post_vals: np.ndarray
+    d: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[3:]:
+            getattr(self, f.name).setflags(write=False)
+
+
+def build_neighbours(
+    query_feats: EmbeddingSet,
+    gallery_feats: EmbeddingSet,
+    params: RerankParams,
+    threads: int = 1,
+) -> NeighbourIndex:
+    """Steps 1-5 over the full joint set: pass 1, the expansion, pass 2 and
+    the query expansion. `threads` spreads the distance blocks over threads
+    without changing any output byte."""
+    nq, ng = len(query_feats), len(gallery_feats)
+    n = nq + ng
+    if n <= params.k1:
+        raise TooFewItems(f"joint set of {n} items needs > k1={params.k1}")
+    _check_pair(query_feats, gallery_feats)
+    vecs = np.vstack([query_feats.vectors, gallery_feats.vectors])
+    vt = vecs.T
+
+    # pass 1: the top-k1 lists N(p,k1)
+    nbr = np.concatenate(_map_blocks(
+        lambda s: _top_k(_distance_block(vecs, vt, s), s, params.k1), n, threads
+    ))
+    rows, cols = np.divmod(_expanded_keys(nbr, params.k1), n)
+    indptr = _indptr(rows, n)
+
+    # pass 2: d on R*(p,k1) for every p, and on the query x gallery block
+    d_v = np.empty(rows.size, dtype=np.float32)
+    d = np.empty((nq, ng), dtype=np.float32)
+
+    def gather(start):
+        block = _distance_block(vecs, vt, start)
+        stop = start + len(block)
+        lo, hi = indptr[start], indptr[stop]
+        d_v[lo:hi] = block[rows[lo:hi] - start, cols[lo:hi]]
+        if start < nq:
+            d[start:stop] = block[:nq - start, nq:]
+
+    _map_blocks(gather, n, threads)
+
+    rows, cols, v = _query_expansion(
+        nbr, params.k2, rows, cols, np.exp(-d_v.astype(np.float64))
+    )
+    indptr = _indptr(rows, n)
+    gal = indptr[nq]
+    by_col = np.argsort(cols[gal:], kind="stable")
+    return NeighbourIndex(
+        query_feats.ids, gallery_feats.ids, params,
+        q_ptr=indptr[:nq + 1].copy(),
+        q_cols=cols[:gal].copy(),
+        q_vals=v[:gal].copy(),
+        norms=np.bincount(rows, weights=v, minlength=n),
+        col_ptr=_indptr(cols[gal:], n),
+        post_rows=rows[gal:][by_col] - nq,
+        post_vals=v[gal:][by_col],
+        d=d,
+    )
+
+
+def rerank_rows(index: NeighbourIndex, rows=None) -> DistanceMatrix:
+    """Steps 6-7 for the query rows `rows` (all of them when None).
+
+    Each row reads only the shared index, so a row has the same bits
+    whichever rows are asked for with it.
+    """
+    nq, ng = index.d.shape
+    qrows = np.arange(nq)
+    if rows is not None:
+        qrows = qrows[np.asarray(list(rows), dtype=np.intp)]
+    lam = index.params.lam
+    q_ptr, q_cols, q_vals = index.q_ptr, index.q_cols, index.q_vals
+    col_ptr, post_rows, post_vals = index.col_ptr, index.post_rows, index.post_vals
+    col_len = np.diff(col_ptr)
+    g_norms = index.norms[nq:]
+    out = np.empty((qrows.size, ng), dtype=np.float32)
+    for i, qi in enumerate(qrows):
+        q = slice(q_ptr[qi], q_ptr[qi + 1])
+        lengths = col_len[q_cols[q]]
+        idx = _ranges(col_ptr[q_cols[q]], lengths)
+        mins = np.minimum(np.repeat(q_vals[q], lengths), post_vals[idx])
+        mins = np.bincount(post_rows[idx], weights=mins, minlength=ng)
+        maxs = index.norms[qi] + g_norms - mins
+        jaccard = np.ones(ng, dtype=np.float64)
+        nz = maxs > 0
+        jaccard[nz] = 1.0 - mins[nz] / maxs[nz]
+        out[i] = (1.0 - lam) * jaccard + lam * index.d[qi].astype(np.float64)
+
+    qids = tuple(index.query_ids[i] for i in qrows)
+    return DistanceMatrix(qids, index.gallery_ids, out)
+
+
 def kreciprocal_rerank(
     query_feats: EmbeddingSet,
     gallery_feats: EmbeddingSet,
@@ -149,68 +277,10 @@ def kreciprocal_rerank(
     always computed over the full joint set, so any row of a restricted
     run is bit-identical to the same row of a full run. `threads` spreads
     the distance blocks over threads without changing any output byte.
+    The index, with its full nq x ng d, lives until the rows are done.
     """
-    nq, ng = len(query_feats), len(gallery_feats)
-    n = nq + ng
-    if n <= params.k1:
-        raise TooFewItems(f"joint set of {n} items needs > k1={params.k1}")
-    qrows = np.arange(nq)
-    if query_rows is not None:
-        qrows = qrows[np.asarray(list(query_rows), dtype=np.intp)]
-    _check_pair(query_feats, gallery_feats)
-    vecs = np.vstack([query_feats.vectors, gallery_feats.vectors])
-    vt = vecs.T
-
-    # pass 1: the top-k1 lists N(p,k1)
-    nbr = np.concatenate(_map_blocks(
-        lambda s: _top_k(_distance_block(vecs, vt, s), s, params.k1), n, threads
-    ))
-    rows, cols = np.divmod(_expanded_keys(nbr, params.k1), n)
-    indptr = _indptr(rows, n)
-
-    # pass 2: d on R*(p,k1) for every p, and on the reported query rows
-    d_v = np.empty(rows.size, dtype=np.float32)
-    out = np.empty((qrows.size, ng), dtype=np.float32)
-
-    def gather(start):
-        block = _distance_block(vecs, vt, start)
-        stop = start + len(block)
-        lo, hi = indptr[start], indptr[stop]
-        d_v[lo:hi] = block[rows[lo:hi] - start, cols[lo:hi]]
-        sel = np.nonzero((qrows >= start) & (qrows < stop))[0]
-        out[sel] = block[qrows[sel] - start, nq:]
-
-    _map_blocks(gather, n, threads)
-
-    rows, cols, v = _query_expansion(
-        nbr, params.k2, rows, cols, np.exp(-d_v.astype(np.float64))
-    )
-    indptr = _indptr(rows, n)
-    norms = np.bincount(rows, weights=v, minlength=n)
-
-    # inverted index: for each column, the gallery rows that hold it
-    gal = slice(indptr[nq], None)
-    by_col = np.argsort(cols[gal], kind="stable")
-    post_rows = rows[gal][by_col] - nq
-    post_vals = v[gal][by_col]
-    col_ptr = _indptr(cols[gal], n)
-    col_len = np.diff(col_ptr)
-
-    # each row of `out` holds d until its final distance replaces it
-    for i, qi in enumerate(qrows):
-        q = slice(indptr[qi], indptr[qi + 1])
-        lengths = col_len[cols[q]]
-        idx = _ranges(col_ptr[cols[q]], lengths)
-        mins = np.minimum(np.repeat(v[q], lengths), post_vals[idx])
-        mins = np.bincount(post_rows[idx], weights=mins, minlength=ng)
-        maxs = norms[qi] + norms[nq:] - mins
-        jaccard = np.ones(ng, dtype=np.float64)
-        nz = maxs > 0
-        jaccard[nz] = 1.0 - mins[nz] / maxs[nz]
-        out[i] = (1.0 - params.lam) * jaccard + params.lam * out[i].astype(np.float64)
-
-    qids = tuple(query_feats.ids[i] for i in qrows)
-    return DistanceMatrix(qids, gallery_feats.ids, out)
+    index = build_neighbours(query_feats, gallery_feats, params, threads)
+    return rerank_rows(index, query_rows)
 
 
 # --- sharding ---
@@ -270,6 +340,8 @@ class MissingReport:
     reasons: dict = field(default_factory=dict)
     # shard index -> non-zero worker exit code, negative for a signal
     exit_codes: dict = field(default_factory=dict)
+    # shard index -> seconds from fork to join; only a coordinator run has it
+    wall_s: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -280,6 +352,7 @@ class MissingReport:
             "missing_queries": list(self.missing_queries),
             "reasons": {str(i): r for i, r in self.reasons.items()},
             "exit_codes": {str(i): c for i, c in self.exit_codes.items()},
+            "wall_s": {str(i): s for i, s in self.wall_s.items()},
         }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prodretrieve.cli import run
-from prodretrieve.embed_store import load_embeddings, save_embeddings
+from prodretrieve.embed_store import EmbeddingSet, load_embeddings, save_embeddings
 from prodretrieve.evalbench import gen_synthetic, save_ground_truth
 from prodretrieve.search import load_matrix, read_ranking_lists
 
@@ -60,6 +60,38 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("MalformedClusters: ")
         assert not (tmp_path / "kept.json").exists()
+
+    @pytest.mark.parametrize("error", ["TooFewItems", "NotNormalized", "DimMismatch"])
+    def test_coordinate_data_error_is_2_before_fork(self, tmp_path, capfd, error):
+        """A bad joint set ends `coordinate` in the coordinator, not as every
+        forked worker's failure; capfd also sees what forked workers print."""
+        gallery, queries, _ = gen_synthetic(6, 4, 2, 8, 0.2, seed=7)
+        k1 = "40" if error == "TooFewItems" else "6"  # 36 joint items
+        if error == "NotNormalized":
+            gallery = EmbeddingSet(gallery.ids, gallery.vectors * 2)
+        if error == "DimMismatch":
+            gallery = EmbeddingSet(gallery.ids, np.hstack([gallery.vectors] * 2))
+        qpath, gpath = str(tmp_path / "q.emb"), str(tmp_path / "g.emb")
+        save_embeddings(queries, qpath)
+        save_embeddings(gallery, gpath)
+        job_dir = tmp_path / "job"
+        assert run([
+            "shard", "--queries", qpath, "--gallery", gpath, "--n-shards", "2",
+            "--k1", k1, "--k2", "2", "--job-dir", str(job_dir),
+        ]) == 0
+        capfd.readouterr()
+        out = tmp_path / "merged.jsonl"
+        code = run([
+            "coordinate", "--manifest", str(job_dir / "manifest.json"),
+            "--parallelism", "2", "--out", str(out),
+        ])
+        captured = capfd.readouterr()
+        assert code == 2
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{error}: "), err
+        assert captured.out == ""
+        assert sorted(os.listdir(job_dir)) == ["manifest.json"]
+        assert not out.exists()
 
     def test_manifest_error_is_3(self, tmp_path, capsys):
         code = run(["worker", "--manifest", str(tmp_path / "none.json"), "--shard", "0"])
@@ -191,6 +223,31 @@ class TestSubcommands:
         write_ranking_lists(direct, expect)
         with open(merged, "rb") as got, open(expect, "rb") as want:
             assert got.read() == want.read()
+
+    def test_coordinate_shards_equal_worker_subcommand(self, synth, tmp_path, capsys):
+        """Shards re-ranked from the coordinator's index have the bytes of
+        shards whose worker built its own index."""
+        shard_files = {}
+        for how in ("coordinate", "worker"):
+            job_dir = tmp_path / how
+            assert run([
+                "shard", "--queries", synth["queries"], "--gallery", synth["gallery"],
+                "--n-shards", "4", "--k1", "6", "--k2", "2", "--job-dir", str(job_dir),
+            ]) == 0
+            manifest = str(job_dir / "manifest.json")
+            if how == "coordinate":
+                assert run([
+                    "coordinate", "--manifest", manifest, "--parallelism", "2",
+                    "--out", str(tmp_path / "merged.jsonl"),
+                ]) == 0
+            else:
+                for shard in range(4):
+                    assert run(["worker", "--manifest", manifest, "--shard", str(shard)]) == 0
+            shard_files[how] = [
+                (job_dir / f"shard_{i}.jsonl").read_bytes() for i in range(4)
+            ]
+        capsys.readouterr()
+        assert shard_files["coordinate"] == shard_files["worker"]
 
     def test_vote_and_max_ensemble_cli(self, synth, tmp_path, capsys):
         m = str(tmp_path / "d.npz")

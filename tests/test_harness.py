@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import signal
 import subprocess
@@ -298,3 +299,53 @@ class TestCoordinator:
         assert len(out.read_text().splitlines()) == 8
         # the worker's failed commit removes its temp file
         assert not list(job_dir.glob("*.tmp.*"))
+
+    def test_index_built_once_in_coordinator(self, tmp_path, small_inputs, monkeypatch):
+        """The coordinator builds the neighbour index; its forked workers
+        only run their own rows. Each build appends its pid to a file."""
+        from prodretrieve import harness, rerank
+
+        calls = tmp_path / "builds.txt"
+        orig = rerank.build_neighbours
+
+        def build_neighbours(*args, **kw):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return orig(*args, **kw)
+
+        monkeypatch.setattr(harness, "build_neighbours", build_neighbours)
+        monkeypatch.setattr(rerank, "build_neighbours", build_neighbours)
+        job_dir = make_job(tmp_path, small_inputs, 4)
+        _, report = coordinator_run(str(job_dir / MANIFEST_NAME), parallelism=2)
+        assert report.ok
+        assert calls.read_text().split() == [str(os.getpid())]
+
+    def test_wall_time_per_shard(self, tmp_path, small_inputs):
+        job_dir = make_job(tmp_path, small_inputs, 3)
+        _, report = coordinator_run(str(job_dir / MANIFEST_NAME), parallelism=2)
+        assert list(report.wall_s) == [0, 1, 2]
+        assert all(math.isfinite(s) and s > 0 for s in report.wall_s.values())
+        assert list(report.to_dict()["wall_s"]) == ["0", "1", "2"]
+
+    def test_fork_after_threaded_blas(self, tmp_path, small_inputs):
+        """Forking right after OpenBLAS ran on two threads must not hang the
+        workers: a 2048 x 2048 matmul starts the threads, then the
+        coordinator builds the index with BLAS and forks."""
+        job_dir = make_job(tmp_path, small_inputs, 4)
+        script = (
+            "import numpy as np\n"
+            "from prodretrieve.harness import coordinator_run\n"
+            "a = np.random.default_rng(0).standard_normal((2048, 2048))\n"
+            "assert np.isfinite(a @ a).all()\n"
+            f"_, report = coordinator_run({str(job_dir / MANIFEST_NAME)!r}, parallelism=2)\n"
+            "assert report.ok, report\n"
+            "print('OK')\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["OK"]

@@ -14,10 +14,12 @@ from prodretrieve.rerank import (
     MissingReport,
     RerankParams,
     ShardManifest,
+    build_neighbours,
     build_shard_manifest,
     kreciprocal_rerank,
     merge_shard_results,
     read_shard_result,
+    rerank_rows,
     shard_result_bytes,
     write_shard_result,
 )
@@ -201,6 +203,61 @@ class TestKReciprocal:
         for p in range(len(feats)):
             for g in recip[p]:
                 assert p in recip[g]
+
+
+def rerank_1000_instance():
+    """The benchmark's rerank_1000 shape at seed 7: 600 queries, 400 gallery."""
+    gallery, queries, _ = gen_synthetic(100, 4, 6, 64, 0.35, seed=7)
+    return queries, gallery, RerankParams(30, 10, 0.3)
+
+
+class TestNeighbourIndex:
+    @pytest.mark.parametrize("case", ["rerank_1000", "ties", "modulo"])
+    def test_rows_of_index_equal_kreciprocal(self, case):
+        if case == "ties":
+            queries, gallery = duplicate_instance()
+            params, rows = RerankParams(6, 3, 0.3), [6, 0, 3]
+        else:
+            queries, gallery, params = rerank_1000_instance()
+            rows = None if case == "rerank_1000" else range(1, len(queries), 4)
+        got = rerank_rows(build_neighbours(queries, gallery, params), rows)
+        want = kreciprocal_rerank(queries, gallery, params, query_rows=rows)
+        assert got.query_ids == want.query_ids
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_one_index_serves_every_shard(self):
+        queries, gallery, params = rerank_1000_instance()
+        index = build_neighbours(queries, gallery, params)
+        full = rerank_rows(index)
+        for shard in range(4):
+            rows = list(range(shard, len(queries), 4))
+            assert rerank_rows(index, rows).values.tobytes() == full.values[rows].tobytes()
+
+    def test_index_is_read_only(self):
+        queries, gallery = duplicate_instance()
+        index = build_neighbours(queries, gallery, RerankParams(6, 3, 0.3))
+        with pytest.raises(ValueError):
+            index.d[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            index.post_vals[0] = 0.0
+
+    def test_index_memory_bound(self):
+        """The index holds d (4 nq ng bytes) and each nonzero of V once, as an
+        int64 index and a float64 value; at 4,000 joint items that is about
+        18 MB, and the build peaks under 100 MB like the whole re-rank."""
+        gallery, queries, _ = gen_synthetic(400, 8, 2, 64, 0.35, seed=7)
+        assert len(queries) + len(gallery) == 4000
+        build_neighbours(*duplicate_instance(), RerankParams(6, 3, 0.3))  # warm imports
+        tracemalloc.start()
+        try:
+            index = build_neighbours(queries, gallery, RerankParams())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nq, ng = index.d.shape
+        nnz = index.q_cols.size + index.post_rows.size
+        assert held < 1.05 * (4 * nq * ng + 16 * nnz + 32 * (nq + ng))
+        assert peak < 100e6
 
 
 class TestSharding:

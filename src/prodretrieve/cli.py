@@ -30,13 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PRODRETRIEVE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _status(outputs, **extra) -> None:
     line = {"ok": True, "outputs": [str(p) for p in outputs]}
     line.update(extra)
@@ -45,11 +38,6 @@ def _status(outputs, **extra) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="prodretrieve", description=__doc__)
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads (default: $PRODRETRIEVE_THREADS or 1); "
-             "never changes numeric outputs",
-    )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("normalize", help="l2-normalize an embedding file")
@@ -65,6 +53,10 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", required=True)
     p.add_argument("--gallery", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="threads over the fixed query blocks; never changes output bytes",
+    )
 
     p = sub.add_parser("crop-agg", help="reduce crop columns to parents by min")
     p.add_argument("--matrix", required=True)
@@ -202,7 +194,7 @@ def cmd_rerank(args) -> None:
     queries = embed_store.load_embeddings(args.queries)
     gallery = embed_store.load_embeddings(args.gallery)
     params = rerank.RerankParams(k1=args.k1, k2=args.k2, lam=args.lam)
-    matrix = rerank.kreciprocal_rerank(queries, gallery, params, threads=args.threads)
+    matrix = rerank.kreciprocal_rerank(queries, gallery, params)
     search.save_matrix(matrix, args.out)
     _status([args.out])
 
@@ -217,16 +209,13 @@ def cmd_shard(args) -> None:
 
 
 def cmd_worker(args) -> None:
-    out = harness.worker_run(
-        args.manifest, args.shard, inject_fail=args.inject_fail, threads=args.threads
-    )
+    out = harness.worker_run(args.manifest, args.shard, inject_fail=args.inject_fail)
     _status([out])
 
 
 def cmd_coordinate(args) -> None:
     results, report = harness.coordinator_run(
-        args.manifest, parallelism=args.parallelism,
-        fail_policy=args.fail_policy, threads=args.threads,
+        args.manifest, parallelism=args.parallelism, fail_policy=args.fail_policy
     )
     _write_merge_outputs(results, report, args.out, args.missing)
 
@@ -249,7 +238,9 @@ def _write_merge_outputs(results, report, out, missing_path) -> None:
 def cmd_max_ensemble(args) -> None:
     if bool(args.matrices) == bool(args.spec):
         raise SystemExit(_usage("max-ensemble needs exactly one of --matrices / --spec"))
-    paths = args.matrices or [p for _, p in ensemble.EnsembleSpec.from_json(args.spec).members]
+    paths = args.matrices or [
+        p for _, p in ensemble.EnsembleSpec.from_json(args.spec, "maximum").members
+    ]
     matrices = [search.load_matrix(p) for p in paths]
     search.save_matrix(ensemble.max_ensemble(matrices), args.out)
     _status([args.out])
@@ -259,7 +250,7 @@ def cmd_vote_ensemble(args) -> None:
     if bool(args.lists) == bool(args.spec):
         raise SystemExit(_usage("vote-ensemble needs exactly one of --lists / --spec"))
     if args.spec:
-        spec = ensemble.EnsembleSpec.from_json(args.spec)
+        spec = ensemble.EnsembleSpec.from_json(args.spec, "voting")
         paths, k = [p for _, p in spec.members], spec.k
     else:
         paths, k = args.lists, args.k
@@ -423,7 +414,7 @@ def cmd_pipeline(args) -> None:
             print(json.dumps({"step": name, "skipped": True}))
             all_outputs.extend(outputs)
             continue
-        code = run((["--threads", str(args.threads)] if args.threads else []) + argv)
+        code = run(argv)
         if code != EXIT_OK:
             print(f"pipeline step {name!r} failed with exit {code}", file=sys.stderr)
             raise SystemExit(code)
@@ -446,8 +437,6 @@ def run(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    if args.threads is None:
-        args.threads = _default_threads()
     try:
         if args.command == "pipeline":
             cmd_pipeline(args)

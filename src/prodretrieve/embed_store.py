@@ -180,12 +180,17 @@ def row_norms(vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vectors.astype(np.float64), axis=1)
 
 
-def l2_normalize(emb: EmbeddingSet) -> EmbeddingSet:
-    """Scale every row to unit Euclidean norm. Zero rows are a hard error."""
-    norms = row_norms(emb.vectors)
+def _nonzero(norms: np.ndarray, what: str = "zero-norm rows") -> np.ndarray:
+    """`norms`, or ZeroVector naming the first rows at or below ZERO_NORM_EPS."""
     bad = np.where(norms <= ZERO_NORM_EPS)[0]
     if bad.size:
-        raise ZeroVector(f"zero-norm rows at indices {bad[:8].tolist()}")
+        raise ZeroVector(f"{what} at indices {bad[:8].tolist()}")
+    return norms
+
+
+def l2_normalize(emb: EmbeddingSet) -> EmbeddingSet:
+    """Scale every row to unit Euclidean norm. Zero rows are a hard error."""
+    norms = _nonzero(row_norms(emb.vectors))
     out = (emb.vectors.astype(np.float64) / norms[:, None]).astype(np.float32)
     return EmbeddingSet(ids=emb.ids, vectors=out)
 
@@ -199,15 +204,9 @@ def fuse_multiscale(group: ScaleGroup) -> EmbeddingSet:
     """
     acc = np.zeros((len(group.ids), group.dim), dtype=np.float64)
     for _, member in group.scales:
-        norms = row_norms(member.vectors)
-        bad = np.where(norms <= ZERO_NORM_EPS)[0]
-        if bad.size:
-            raise ZeroVector(f"zero-norm rows at indices {bad[:8].tolist()}")
+        norms = _nonzero(row_norms(member.vectors))
         acc += member.vectors.astype(np.float64) / norms[:, None]
     acc /= len(group.scales)
-    mean_norms = np.linalg.norm(acc, axis=1)
-    bad = np.where(mean_norms <= ZERO_NORM_EPS)[0]
-    if bad.size:
-        raise ZeroVector(f"scale means cancel to zero at indices {bad[:8].tolist()}")
+    mean_norms = _nonzero(np.linalg.norm(acc, axis=1), "scale means cancel to zero")
     fused = (acc / mean_norms[:, None]).astype(np.float32)
     return EmbeddingSet(ids=group.ids, vectors=fused)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateBallot, IdMismatch, ShapeMismatch
+from .errors import DuplicateBallot, IdMismatch, ManifestInvalid, ShapeMismatch
 from .search import DistanceMatrix, RankingList
 
 DEFAULT_K = 10
@@ -37,14 +37,25 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble method {self.method!r}")
 
     @classmethod
-    def from_json(cls, path) -> "EnsembleSpec":
+    def from_json(cls, path, method: str | None = None) -> "EnsembleSpec":
+        """Read a spec file. A spec without "method" takes `method` (or
+        "voting"); a malformed spec, or one naming a method other than
+        `method` when that is given, raises ManifestInvalid."""
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(
-            members=tuple((m["label"], m["path"]) for m in obj["members"]),
-            method=obj.get("method", "voting").lower(),
-            k=obj.get("k", DEFAULT_K),
-        )
+            try:
+                obj = json.load(fh)
+                spec = cls(
+                    members=tuple((m["label"], m["path"]) for m in obj["members"]),
+                    method=obj.get("method", method or "voting").lower(),
+                    k=obj.get("k", DEFAULT_K),
+                )
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ManifestInvalid(
+                    f"{path} is not an ensemble spec: {type(exc).__name__}: {exc}"
+                ) from exc
+        if method is not None and spec.method != method:
+            raise ManifestInvalid(f"{path} names method {spec.method!r}, not {method!r}")
+        return spec
 
 
 def _row_minmax_similarity(values: np.ndarray) -> np.ndarray:

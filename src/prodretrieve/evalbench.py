@@ -8,7 +8,6 @@ every ground-truth query either way.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +85,12 @@ def mar_at_k(lists, gt: GroundTruth, k: int = DEFAULT_K, gallery_ids=None) -> Ev
     return EvalReport(mar_at_k=mean, k=k, per_query=per_query, n_missing=n_missing)
 
 
+def _unit_rows(vecs: np.ndarray) -> None:
+    """Each last-axis row divided by its norm in place, with the bits of
+    `row / math.sqrt(row.dot(row))`: a 1 x d @ d x 1 matmul runs that dot."""
+    vecs /= np.sqrt(np.matmul(vecs[..., None, :], vecs[..., :, None]))[..., 0]
+
+
 def gen_synthetic(
     n_classes: int,
     gallery_per_class: int,
@@ -107,29 +112,24 @@ def gen_synthetic(
     if noise_sigma < 0:
         raise InvalidParams("noise_sigma must be >= 0")
 
-    rng = np.random.default_rng(seed)
-    g_ids, g_rows, q_ids, q_rows = [], [], [], []
-    relevant = {}
-    for c in range(n_classes):
-        centroid = rng.standard_normal(dim)
-        # np.linalg.norm's own 1-D formula (same bits), without its overhead
-        centroid /= math.sqrt(centroid.dot(centroid))
-        class_gallery = []
-        for i in range(gallery_per_class):
-            vec = centroid + noise_sigma * rng.standard_normal(dim)
-            gid = f"g{c:05d}_{i:03d}"
-            g_ids.append(gid)
-            g_rows.append(vec / math.sqrt(vec.dot(vec)))
-            class_gallery.append(gid)
-        for i in range(queries_per_class):
-            vec = centroid + noise_sigma * rng.standard_normal(dim)
-            qid = f"q{c:05d}_{i:03d}"
-            q_ids.append(qid)
-            q_rows.append(vec / math.sqrt(vec.dot(vec)))
-            relevant[qid] = set(class_gallery)
+    # one draw, in the order of a per-vector loop: per class the centroid,
+    # its gallery members, then its queries
+    per_class = 1 + gallery_per_class + queries_per_class
+    vecs = np.random.default_rng(seed).standard_normal((n_classes, per_class, dim))
+    _unit_rows(vecs[:, :1])
+    members = vecs[:, 1:]
+    members *= noise_sigma
+    members += vecs[:, :1]
+    _unit_rows(members)
 
-    gallery = EmbeddingSet(tuple(g_ids), np.asarray(g_rows, dtype=np.float32))
-    queries = EmbeddingSet(tuple(q_ids), np.asarray(q_rows, dtype=np.float32))
+    g_ids = [[f"g{c:05d}_{i:03d}" for i in range(gallery_per_class)] for c in range(n_classes)]
+    q_ids = [[f"q{c:05d}_{i:03d}" for i in range(queries_per_class)] for c in range(n_classes)]
+    relevant = {qid: set(gids) for gids, qids in zip(g_ids, q_ids) for qid in qids}
+    gallery, queries = (
+        EmbeddingSet([i for row in ids for i in row], part.astype(np.float32).reshape(-1, dim))
+        for ids, part in ((g_ids, members[:, :gallery_per_class]),
+                          (q_ids, members[:, gallery_per_class:]))
+    )
     return gallery, queries, GroundTruth(relevant)
 
 

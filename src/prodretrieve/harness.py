@@ -152,7 +152,6 @@ def worker_run(
     manifest_path,
     shard_index: int,
     inject_fail: bool = False,
-    threads: int = 1,
     index: NeighbourIndex | None = None,
 ) -> str:
     """Commit this shard's re-ranked top-k lists atomically; return the path.
@@ -174,7 +173,7 @@ def worker_run(
         matrix = kreciprocal_rerank(
             load_embeddings(manifest.query_path),
             load_embeddings(manifest.gallery_path),
-            manifest.params, query_rows=rows, threads=threads,
+            manifest.params, query_rows=rows,
         )
     else:
         matrix = rerank_rows(index, rows)
@@ -193,7 +192,6 @@ def coordinator_run(
     manifest_path,
     parallelism: int = 1,
     fail_policy: str = "tolerate",
-    threads: int = 1,
 ):
     """Build the neighbour index, fan shards out to forked workers that
     share it, then merge whatever landed.
@@ -205,6 +203,9 @@ def coordinator_run(
     bytes, see `rerank.NeighbourIndex`) is released once the last worker is
     forked; the inputs, as soon as it is built.
     """
+    # loaded once here, not by each worker for its sha256 trailer; at module
+    # level it would add ~4 MB to every process that imports the harness
+    import hashlib  # noqa: F401
     if fail_policy not in ("tolerate", "strict"):
         raise InvalidParams(f"unknown fail policy {fail_policy!r}")
     if parallelism < 1:
@@ -214,7 +215,7 @@ def coordinator_run(
     index = build_neighbours(
         load_embeddings(manifest.query_path),
         load_embeddings(manifest.gallery_path),
-        manifest.params, threads,
+        manifest.params,
     )
 
     fork = multiprocessing.get_context("fork")
@@ -227,7 +228,7 @@ def coordinator_run(
             shard = pending.pop(0)
             proc = fork.Process(
                 target=worker_run, args=(manifest_path, shard),
-                kwargs={"threads": threads, "index": index},
+                kwargs={"index": index},
             )
             started = time.monotonic()
             proc.start()  # drops the Process's own reference to its kwargs

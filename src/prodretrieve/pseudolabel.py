@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed_store import EmbeddingSet, row_norms
+from .embed_store import EmbeddingSet
 from .errors import (
     MalformedClusters,
     NotNormalized,
@@ -27,7 +27,7 @@ from .errors import (
     TargetBelowClusterCount,
 )
 from .fileio import atomic_open, compact_json
-from .search import NORM_TOL
+from .search import NORM_TOL, _norm_deviation
 
 CONFIDENT_MAX_SIZE = 10  # kept clusters must be strictly smaller than this
 BLOCK = 512  # rows per similarity block: a BLOCK x n float32 buffer
@@ -143,7 +143,7 @@ def cluster_features(emb: EmbeddingSet, threshold: float) -> ClusterResult:
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0,1), got {threshold}")
     n = len(emb)
-    if n and np.abs(row_norms(emb.vectors) - 1.0).max() > NORM_TOL:
+    if _norm_deviation(emb.vectors) > NORM_TOL:
         raise NotNormalized("cluster_features requires unit-norm rows")
 
     uf = _UnionFind(n)

@@ -53,11 +53,11 @@ from .embed_store import EmbeddingSet
 from .errors import CorruptShard, InvalidParams, TooFewItems
 from .fileio import atomic_open
 from .search import (
+    QUERY_BLOCK,
     DistanceMatrix,
     RankingList,
     _check_pair,
     _distance_block,
-    _map_blocks,
     _ranges,
     _smallest,
     ranking_from_json,
@@ -179,11 +179,10 @@ def build_neighbours(
     query_feats: EmbeddingSet,
     gallery_feats: EmbeddingSet,
     params: RerankParams,
-    threads: int = 1,
 ) -> NeighbourIndex:
     """Steps 1-5 over the full joint set: pass 1, the expansion, pass 2 and
-    the query expansion. `threads` spreads the distance blocks over threads
-    without changing any output byte."""
+    the query expansion, each distance pass one QUERY_BLOCK-row block at a
+    time."""
     nq, ng = len(query_feats), len(gallery_feats)
     n = nq + ng
     if n <= params.k1:
@@ -191,27 +190,26 @@ def build_neighbours(
     _check_pair(query_feats, gallery_feats)
     vecs = np.vstack([query_feats.vectors, gallery_feats.vectors])
     vt = vecs.T
+    starts = range(0, n, QUERY_BLOCK)
 
     # pass 1: the top-k1 lists N(p,k1)
-    nbr = np.concatenate(_map_blocks(
-        lambda s: _top_k(_distance_block(vecs, vt, s), s, params.k1), n, threads
-    ))
+    nbr = np.concatenate([
+        _top_k(_distance_block(vecs, vt, start), start, params.k1) for start in starts
+    ])
     rows, cols = np.divmod(_expanded_keys(nbr, params.k1), n)
     indptr = _indptr(rows, n)
 
     # pass 2: d on R*(p,k1) for every p, and on the query x gallery block
     d_v = np.empty(rows.size, dtype=np.float32)
     d = np.empty((nq, ng), dtype=np.float32)
-
-    def gather(start):
+    for start in starts:
         block = _distance_block(vecs, vt, start)
         stop = start + len(block)
         lo, hi = indptr[start], indptr[stop]
         d_v[lo:hi] = block[rows[lo:hi] - start, cols[lo:hi]]
         if start < nq:
             d[start:stop] = block[:nq - start, nq:]
-
-    _map_blocks(gather, n, threads)
+    del block  # not held through the query expansion
 
     rows, cols, v = _query_expansion(
         nbr, params.k2, rows, cols, np.exp(-d_v.astype(np.float64))
@@ -269,17 +267,15 @@ def kreciprocal_rerank(
     gallery_feats: EmbeddingSet,
     params: RerankParams,
     query_rows=None,
-    threads: int = 1,
 ) -> DistanceMatrix:
     """Re-rank gallery items for each query (or a subset of query rows).
 
     `query_rows` restricts the reported rows; the neighbor structures are
     always computed over the full joint set, so any row of a restricted
-    run is bit-identical to the same row of a full run. `threads` spreads
-    the distance blocks over threads without changing any output byte.
+    run is bit-identical to the same row of a full run.
     The index, with its full nq x ng d, lives until the rows are done.
     """
-    index = build_neighbours(query_feats, gallery_feats, params, threads)
+    index = build_neighbours(query_feats, gallery_feats, params)
     return rerank_rows(index, query_rows)
 
 

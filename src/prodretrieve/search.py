@@ -36,9 +36,9 @@ NORM_SLICE = 1 << 14
 # over whole rows is faster.
 MIN_CHUNK = 32
 
-# Fixed query-block size: parallelism fans blocks out to threads, but the
-# work per block never depends on the thread count, so outputs are
-# byte-identical for any --threads value.
+# Fixed query-block size: `pairwise_cosine_distance` fans blocks out to
+# threads, `rerank` walks the same blocks in turn, and the work per block
+# never depends on the thread count, so outputs are byte-identical.
 QUERY_BLOCK = 256
 
 CROP_SCHEMES = {"index5crop": 5, "index6crop": 6, "custom": None}
@@ -115,17 +115,22 @@ class CropGroupMap:
                 )
 
 
+def _norm_deviation(vectors: np.ndarray) -> float:
+    """Largest |row norm - 1|, in float64 over NORM_SLICE-element slices."""
+    step = max(1, NORM_SLICE // max(1, vectors.shape[1]))
+    return max(
+        (np.abs(row_norms(vectors[s:s + step]) - 1.0).max()
+         for s in range(0, len(vectors), step)),
+        default=0.0,
+    )
+
+
 def _check_pair(queries: EmbeddingSet, gallery: EmbeddingSet) -> None:
     """Refuse mismatched dims and rows that are not unit-norm."""
     if queries.dim != gallery.dim:
         raise DimMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     for name, emb in (("query", queries), ("gallery", gallery)):
-        step = max(1, NORM_SLICE // max(1, emb.dim))
-        dev = max(
-            (np.abs(row_norms(emb.vectors[s:s + step]) - 1.0).max()
-             for s in range(0, len(emb), step)),
-            default=0.0,
-        )
+        dev = _norm_deviation(emb.vectors)
         if dev > NORM_TOL:
             raise NotNormalized(
                 f"{name} rows deviate from unit norm by up to {dev:.2e}"
@@ -147,15 +152,6 @@ def _distance_block(queries: np.ndarray, gallery_t: np.ndarray, start: int, out=
     return np.clip(out, 0.0, 2.0, out=out)
 
 
-def _map_blocks(fn, n_rows: int, threads: int = 1) -> list:
-    """fn(start) for each QUERY_BLOCK-row block, results in block order."""
-    starts = range(0, n_rows, QUERY_BLOCK)
-    if threads <= 1:
-        return [fn(s) for s in starts]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, starts))
-
-
 def pairwise_cosine_distance(
     queries: EmbeddingSet, gallery: EmbeddingSet, threads: int = 1
 ) -> DistanceMatrix:
@@ -172,7 +168,13 @@ def pairwise_cosine_distance(
     def run_block(start):
         _distance_block(queries.vectors, gt, start, out=out[start:start + QUERY_BLOCK])
 
-    _map_blocks(run_block, nq, threads)
+    starts = range(0, nq, QUERY_BLOCK)
+    if threads <= 1:
+        for start in starts:
+            run_block(start)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_block, starts))
     return DistanceMatrix(queries.ids, gallery.ids, out)
 
 

@@ -34,6 +34,10 @@ def synth(tmp_path):
     return paths
 
 
+ONE_MEMBER = [{"label": "m", "path": "a"}]
+TWIN_LABELS = [{"label": "m", "path": "a"}, {"label": "m", "path": "b"}]
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -97,6 +101,39 @@ class TestExitCodes:
         code = run(["worker", "--manifest", str(tmp_path / "none.json"), "--shard", "0"])
         assert code == 3
 
+    def test_threads_before_subcommand_is_usage_error(self, synth, tmp_path, capsys):
+        """`--threads` is an option of `search` only."""
+        out = tmp_path / "d.npz"
+        code = run([
+            "--threads", "2", "search", "--queries", synth["queries"],
+            "--gallery", synth["gallery"], "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,spec", [
+        ("max-ensemble", {"method": "voting", "members": ONE_MEMBER}),
+        ("vote-ensemble", {"method": "maximum", "members": ONE_MEMBER}),
+        ("vote-ensemble", {"method": "borda", "members": ONE_MEMBER}),
+        ("max-ensemble", {"members": TWIN_LABELS}),
+        ("vote-ensemble", {"members": TWIN_LABELS}),
+        ("vote-ensemble", {"members": []}),
+        ("vote-ensemble", {"members": [{"label": "m"}]}),
+        ("max-ensemble", {"k": 10}),
+    ], ids=["voting-to-max", "maximum-to-vote", "unknown-method", "twin-labels-max",
+            "twin-labels-vote", "no-members", "no-path", "no-members-key"])
+    def test_bad_ensemble_spec_is_3(self, tmp_path, capsys, command, spec):
+        """A spec naming the other method, or a malformed one, is refused with
+        one stderr line before any member is read."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "fused.out"
+        code = run([command, "--spec", str(path), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ManifestInvalid: "), err
+        assert not out.exists()
+
 
 class TestSubcommands:
     def test_normalize_matches_inprocess(self, synth, tmp_path, capsys):
@@ -117,7 +154,10 @@ class TestSubcommands:
         save_ground_truth(gt, gt_path)
         m = str(tmp_path / "d.npz")
         assert run(["search", "--queries", q, "--gallery", g, "--out", m]) == 0
+        m2 = str(tmp_path / "d2.npz")
+        assert run(["search", "--threads", "2", "--queries", q, "--gallery", g, "--out", m2]) == 0
         capsys.readouterr()
+        assert load_matrix(m2).values.tobytes() == load_matrix(m).values.tobytes()
 
         # topk via rerank path not needed; write lists with a tiny merge:
         from prodretrieve.search import topk, write_ranking_lists
@@ -269,6 +309,23 @@ class TestSubcommands:
         got = read_ranking_lists(voted)
         expect = read_ranking_lists(lists)
         assert [r.gallery_ids for r in got] == [r.gallery_ids for r in expect]
+
+        # a --spec with the command's own method, or with none, fuses the same
+        for command, method, member, want in (
+            ("max-ensemble", "maximum", m, tmp_path / "fused.npz"),
+            ("vote-ensemble", "voting", lists, tmp_path / "voted.jsonl"),
+        ):
+            for spec in ({"method": method}, {}):
+                spec["members"] = [{"label": "a", "path": member}, {"label": "b", "path": member}]
+                spec_path = tmp_path / "spec.json"
+                spec_path.write_text(json.dumps(spec))
+                got_path = tmp_path / f"spec_{want.name}"
+                assert run([command, "--spec", str(spec_path), "--out", str(got_path)]) == 0
+                if command == "max-ensemble":
+                    assert load_matrix(got_path).values.tobytes() == load_matrix(want).values.tobytes()
+                else:
+                    assert got_path.read_bytes() == want.read_bytes()
+        capsys.readouterr()
 
 
 class TestPipeline:

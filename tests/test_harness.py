@@ -224,24 +224,6 @@ class TestCoordinator:
         assert report.exit_codes == {0: -signal.SIGKILL}
         assert len(results) == 8
 
-    def test_threads_reach_forked_workers(self, tmp_path, small_inputs, monkeypatch):
-        from prodretrieve import harness
-
-        job_dir = make_job(tmp_path, small_inputs, 2)
-        orig_worker_run = harness.worker_run
-
-        def worker_run(manifest_path, shard_index, threads=1, **kw):
-            (job_dir / f"threads_{shard_index}").write_text(str(threads))
-            return orig_worker_run(manifest_path, shard_index, threads=threads, **kw)
-
-        monkeypatch.setattr(harness, "worker_run", worker_run)
-        code = cli.run([
-            "--threads", "2", "coordinate", "--manifest", str(job_dir / MANIFEST_NAME),
-            "--out", str(tmp_path / "merged.jsonl"),
-        ])
-        assert code == 0
-        assert [(job_dir / f"threads_{i}").read_text() for i in (0, 1)] == ["2", "2"]
-
     def test_cli_status_printed_once_to_buffered_stdout(
         self, tmp_path, small_inputs, monkeypatch
     ):
@@ -349,3 +331,30 @@ class TestCoordinator:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["OK"]
+
+    def test_workers_inherit_hashlib(self, tmp_path, small_inputs):
+        """The coordinator loads hashlib before it forks, so no worker loads
+        OpenSSL for its shard trailer. Each worker records on entry whether
+        `_hashlib` is loaded; a fresh interpreter has not loaded it yet."""
+        job_dir = make_job(tmp_path, small_inputs, 2)
+        flags = tmp_path / "hashlib_loaded.txt"
+        script = (
+            "import sys\n"
+            "from prodretrieve import harness\n"
+            "orig = harness.worker_run\n"
+            "def worker_run(*args, **kw):\n"
+            f"    with open({str(flags)!r}, 'a') as fh:\n"
+            "        fh.write(f\"{'_hashlib' in sys.modules}\\n\")\n"
+            "    return orig(*args, **kw)\n"
+            "harness.worker_run = worker_run\n"
+            "assert '_hashlib' not in sys.modules\n"
+            f"_, report = harness.coordinator_run({str(job_dir / MANIFEST_NAME)!r}, parallelism=2)\n"
+            "assert report.ok, report\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert flags.read_text().split() == ["True", "True"]

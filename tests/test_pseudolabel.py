@@ -8,6 +8,7 @@ from prodretrieve import pseudolabel
 from prodretrieve.embed_store import EmbeddingSet, l2_normalize
 from prodretrieve.errors import NotNormalized, PoolTooSmall, TargetBelowClusterCount
 from prodretrieve.evalbench import gen_synthetic
+from prodretrieve.search import NORM_SLICE
 from prodretrieve.pseudolabel import (
     ClusterResult,
     assign_pseudo_labels,
@@ -61,9 +62,18 @@ class TestClusterFeatures:
         assert result.unclustered_pool == tuple(pool)
 
     def test_requires_normalized(self):
-        emb = EmbeddingSet(("a", "b"), np.array([[2.0, 0], [0, 2.0]], np.float32))
-        with pytest.raises(NotNormalized):
-            cluster_features(emb, 0.5)
+        two_rows = EmbeddingSet(("a", "b"), np.array([[2.0, 0], [0, 2.0]], np.float32))
+        # unit rows but the last, which sits alone in the last slice of the
+        # sliced unit-norm check
+        dim = 64
+        n = NORM_SLICE // dim + 1
+        unit = unit_set([f"r{i}" for i in range(n)],
+                        np.random.default_rng(5).normal(size=(n, dim)))
+        vecs = unit.vectors.copy()
+        vecs[-1] *= 2
+        for emb in (two_rows, EmbeddingSet(unit.ids, vecs)):
+            with pytest.raises(NotNormalized):
+                cluster_features(emb, 0.5)
 
     def test_threshold_monotone(self):
         emb = grouped_points(41, n_groups=6, sigma=0.3)

@@ -252,6 +252,8 @@ def cmd_vote_ensemble(args) -> None:
     if args.spec:
         spec = ensemble.EnsembleSpec.from_json(args.spec, "voting")
         paths, k = [p for _, p in spec.members], spec.k
+    elif args.k < 1:
+        raise SystemExit(_usage(f"--k must be >= 1, got {args.k}"))
     else:
         paths, k = args.lists, args.k
     model_lists = [search.read_ranking_lists(p) for p in paths]

@@ -35,6 +35,8 @@ class EnsembleSpec:
             raise ValueError("member labels must be unique")
         if self.method not in ("maximum", "voting"):
             raise ValueError(f"unknown ensemble method {self.method!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
 
     @classmethod
     def from_json(cls, path, method: str | None = None) -> "EnsembleSpec":

@@ -8,23 +8,34 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import threading
 
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str):
-    """Write `<path>.tmp.<pid>` ("w" is UTF-8 text, "wb" binary); a clean exit
-    commits it by fsync + rename, anything raised removes it."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+    """Write `<path>.tmp.<pid>.<thread id>` ("w" is UTF-8 text, "wb" binary);
+    a clean exit commits it by fsync + rename + fsync of the directory, so the
+    new name survives a crash too; anything raised removes it."""
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        _fsync_dir(os.path.dirname(os.path.abspath(path)))
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _fsync_dir(path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def sha256_file(path) -> str:

@@ -6,11 +6,12 @@ else falls back to a pool from which singleton classes are sampled to
 reach a target class count.
 
 `cluster_features` scans the upper triangle of the similarity matrix in
-float32, one block of `BLOCK` rows at a time, and re-decides in float64
-every pair whose float32 score lies within a rounding-error margin of the
-threshold. Its memory beside the input is O(BLOCK * n) float32 for one
-block plus the candidate pairs, and its clusters do not depend on the
-BLAS kernel or its thread count.
+float32, one tile of `BLOCK` rows x `TILE` columns at a time, and re-decides
+in float64 every pair whose float32 score lies within a rounding-error
+margin of the threshold. Its scan memory is O(BLOCK * TILE) float32 plus the
+candidate pairs of one tile, independent of n (8.4 MB of float32 and a 2.1 MB
+mask); beside it only the input and O(n) union-find state grow with n. Its
+clusters do not depend on the tile shape, the BLAS kernel or its thread count.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ from .fileio import atomic_open, compact_json
 from .search import NORM_TOL, _norm_deviation
 
 CONFIDENT_MAX_SIZE = 10  # kept clusters must be strictly smaller than this
-BLOCK = 512  # rows per similarity block: a BLOCK x n float32 buffer
+BLOCK = 512  # rows per similarity tile
+TILE = 4096  # columns per similarity tile: BLOCK x TILE float32 is 8.4 MB
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,14 @@ class _UnionFind:
 
 
 def _similar_pairs(vectors: np.ndarray, threshold: float):
-    """Yield (rows, cols) index arrays, rows < cols, one row block at a time,
-    of every pair whose float64 dot (`_dot64`) is >= threshold.
+    """Yield (rows, cols) index arrays, rows < cols, one tile at a time, of
+    every pair whose float64 dot (`_dot64`) is >= threshold.
+
+    The upper triangle is walked in tiles of `BLOCK` rows x `TILE` columns,
+    each row block's tiles starting at its own first row, so only a tile that
+    crosses the diagonal holds pairs with cols <= rows. All tiles share one
+    float32 buffer and one bool mask: the memory beside the input is
+    O(BLOCK * TILE) plus the candidates of one tile, whatever n is.
 
     A float32 dot of d terms is within gamma_d * |a| |b| ~= d * eps32 / 2 *
     (1 + NORM_TOL)^2 of the exact dot in any summation order (Higham,
@@ -105,26 +113,35 @@ def _similar_pairs(vectors: np.ndarray, threshold: float):
     more than four times that and also covers rounding threshold +- margin
     to float32. So a float32 score below threshold - margin is a sure no,
     one at or above threshold + margin a sure yes, and only the scores in
-    between are decided in float64.
+    between are decided in float64. The pairs therefore do not depend on
+    the tile shape either.
     """
     n, d = vectors.shape
     margin = 2 * (d + 2) * float(np.finfo(np.float32).eps)
     lo, hi = np.float32(threshold - margin), np.float32(threshold + margin)
-    # one buffer for every block, so no two blocks are ever held at once
-    buf = np.empty(min(BLOCK, n) * n, dtype=np.float32)
-    for start in range(0, n, BLOCK):
-        block = vectors[start:start + BLOCK]
-        width = n - start  # the upper triangle: columns start..n-1
-        sims = buf[:len(block) * width].reshape(len(block), width)
-        np.matmul(block, vectors[start:].T, out=sims)
-        flat = np.flatnonzero(sims >= lo)
-        rows, cols = np.divmod(flat, width)
-        upper = cols > rows
-        flat, rows, cols = flat[upper], rows[upper] + start, cols[upper] + start
-        keep = sims.ravel()[flat] >= hi
-        unsure = ~keep
-        keep[unsure] = _dot64(vectors[rows[unsure]], vectors[cols[unsure]]) >= threshold
-        yield rows[keep], cols[keep]
+    size = min(BLOCK, n) * min(TILE, n)
+    buf = np.empty(size, dtype=np.float32)
+    mask_buf = np.empty(size, dtype=bool)
+    for r0 in range(0, n, BLOCK):
+        block = vectors[r0:r0 + BLOCK]
+        r1 = r0 + len(block)
+        for c0 in range(r0, n, TILE):
+            tile = vectors[c0:c0 + TILE]
+            width = len(tile)
+            sims = buf[:len(block) * width].reshape(len(block), width)
+            np.matmul(block, tile.T, out=sims)
+            mask = mask_buf[:sims.size].reshape(sims.shape)
+            flat = np.flatnonzero(np.greater_equal(sims, lo, out=mask))
+            rows, cols = np.divmod(flat, width)
+            rows += r0
+            cols += c0
+            if c0 < r1:  # the tile crosses the diagonal
+                upper = cols > rows
+                flat, rows, cols = flat[upper], rows[upper], cols[upper]
+            keep = sims.ravel()[flat] >= hi
+            unsure = ~keep
+            keep[unsure] = _dot64(vectors[rows[unsure]], vectors[cols[unsure]]) >= threshold
+            yield rows[keep], cols[keep]
 
 
 def _dot64(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -131,16 +131,22 @@ def naive_borda(model_lists, k):
     return results
 
 
+def naive_pairs(vectors, threshold):
+    """Every (i, j), i < j, whose dot, summed left to right, is >= threshold."""
+    n = len(vectors)
+    return [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if sum(float(a) * float(b) for a, b in zip(vectors[i], vectors[j])) >= threshold
+    ]
+
+
 def naive_components(vectors, ids, threshold):
     """All-pairs threshold graph, BFS components, canonical ordering."""
     n = len(ids)
     adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim = sum(float(a) * float(b) for a, b in zip(vectors[i], vectors[j]))
-            if sim >= threshold:
-                adj[i].append(j)
-                adj[j].append(i)
+    for i, j in naive_pairs(vectors, threshold):
+        adj[i].append(j)
+        adj[j].append(i)
     seen = [False] * n
     clusters, pool = [], []
     for start in range(n):

@@ -7,7 +7,9 @@ import pytest
 from prodretrieve.cli import run
 from prodretrieve.embed_store import EmbeddingSet, load_embeddings, save_embeddings
 from prodretrieve.evalbench import gen_synthetic, save_ground_truth
-from prodretrieve.search import load_matrix, read_ranking_lists
+from prodretrieve.search import (
+    RankingList, load_matrix, read_ranking_lists, topk, write_ranking_lists,
+)
 
 
 def ok_line(capsys):
@@ -120,8 +122,13 @@ class TestExitCodes:
         ("vote-ensemble", {"members": []}),
         ("vote-ensemble", {"members": [{"label": "m"}]}),
         ("max-ensemble", {"k": 10}),
+        ("vote-ensemble", {"members": ONE_MEMBER, "k": 0}),
+        ("vote-ensemble", {"members": ONE_MEMBER, "k": -1}),
+        ("vote-ensemble", {"members": ONE_MEMBER, "k": "10"}),
+        ("max-ensemble", {"method": "maximum", "members": ONE_MEMBER, "k": 0}),
     ], ids=["voting-to-max", "maximum-to-vote", "unknown-method", "twin-labels-max",
-            "twin-labels-vote", "no-members", "no-path", "no-members-key"])
+            "twin-labels-vote", "no-members", "no-path", "no-members-key",
+            "k-zero", "k-negative", "k-string", "k-zero-max"])
     def test_bad_ensemble_spec_is_3(self, tmp_path, capsys, command, spec):
         """A spec naming the other method, or a malformed one, is refused with
         one stderr line before any member is read."""
@@ -132,6 +139,17 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ManifestInvalid: "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_vote_ensemble_bad_k_is_usage_error(self, tmp_path, capsys, k):
+        lists = tmp_path / "l.jsonl"
+        write_ranking_lists([RankingList("q", (("g", 0.5),), k=1)], lists)
+        out = tmp_path / "voted.jsonl"
+        code = run(["vote-ensemble", "--lists", str(lists), "--k", k, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--k must be >= 1" in err[0], err
         assert not out.exists()
 
 
@@ -160,8 +178,6 @@ class TestSubcommands:
         assert load_matrix(m2).values.tobytes() == load_matrix(m).values.tobytes()
 
         # topk via rerank path not needed; write lists with a tiny merge:
-        from prodretrieve.search import topk, write_ranking_lists
-
         lists = topk(load_matrix(m), 10)
         lists_path = str(tmp_path / "lists.jsonl")
         write_ranking_lists(lists, lists_path)
@@ -252,8 +268,6 @@ class TestSubcommands:
 
         # byte-equivalent to in-process rerank + topk
         from prodretrieve.rerank import RerankParams, kreciprocal_rerank
-        from prodretrieve.search import topk, write_ranking_lists
-
         queries = load_embeddings(synth["queries"])
         gallery = load_embeddings(synth["gallery"])
         direct = topk(
@@ -298,8 +312,6 @@ class TestSubcommands:
         out = str(tmp_path / "fused.npz")
         assert run(["max-ensemble", "--matrices", m, m, "--out", out]) == 0
         capsys.readouterr()
-
-        from prodretrieve.search import topk, write_ranking_lists
 
         lists = str(tmp_path / "l.jsonl")
         write_ranking_lists(topk(load_matrix(m), 10), lists)

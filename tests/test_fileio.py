@@ -1,5 +1,7 @@
 import hashlib
 import os
+import stat
+import threading
 
 import pytest
 
@@ -36,6 +38,51 @@ def test_failed_rename_removes_temp(tmp_path):
             fh.write(b"data")
     assert os.listdir(tmp_path) == ["taken"]
 
+
+def test_commit_fsyncs_file_then_directory(tmp_path, monkeypatch):
+    """The directory is fsynced once, after the rename, so the new name is
+    durable when atomic_open returns."""
+    path = tmp_path / "out.txt"
+    real_fsync = os.fsync
+    synced = []
+
+    def fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        synced.append(("dir", path.read_text()) if is_dir else ("file", None))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with atomic_open(path, "w") as fh:
+        fh.write("new")
+    assert synced == [("file", None), ("dir", "new")]
+
+
+def test_two_threads_one_path_each_commit_whole_file(tmp_path):
+    """Both threads hold their temp file open at once; each commit is whole
+    and no temp file is left."""
+    path = tmp_path / "out.txt"
+    both_open = threading.Barrier(2, timeout=10)
+    errors = []
+
+    def write(char):
+        try:
+            with atomic_open(path, "w") as fh:
+                fh.write(char * 50_000)
+                fh.flush()
+                both_open.wait()
+                fh.write(char * 50_000)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(c,)) for c in "ab"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert errors == []
+    assert path.read_text() in ("a" * 100_000, "b" * 100_000)
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 def test_sha256_file_streams_past_one_chunk(tmp_path):
     data = os.urandom((1 << 20) + 123)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import naive_components
+from oracles import naive_components, naive_pairs
 from prodretrieve import pseudolabel
 from prodretrieve.embed_store import EmbeddingSet, l2_normalize
 from prodretrieve.errors import NotNormalized, PoolTooSmall, TargetBelowClusterCount
@@ -37,6 +37,20 @@ def grouped_points(seed, n_groups=10, per_group=5, n_noise=0, dim=16, sigma=0.05
         ids.append(f"noise_{i}")
         rows.append(rng.normal(size=dim))
     return unit_set(ids, rows)
+
+
+def traced_cluster_features(emb, threshold):
+    """cluster_features and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = cluster_features(emb, threshold)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def n_pairs(emb, threshold):
+    return sum(len(rows) for rows, _ in pseudolabel._similar_pairs(emb.vectors, threshold))
 
 
 class TestClusterFeatures:
@@ -98,30 +112,45 @@ class TestClusterFeatures:
         result = cluster_features(emb, 0.8)
         assert result.all_ids == frozenset(emb.ids)
 
-    @pytest.mark.parametrize("block", [None, 16])
-    def test_matches_oracle_across_block_boundaries(self, monkeypatch, block):
-        """More rows than one block, groups scattered over several blocks and
-        exact duplicates on both sides of a block boundary."""
+    @pytest.mark.parametrize("block,tile", [(None, None), (16, 24), (24, 16)],
+                             ids=["None", "16", "24"])
+    def test_matches_oracle_across_block_boundaries(self, monkeypatch, block, tile):
+        """n a multiple of neither BLOCK nor TILE (at the defaults n < TILE),
+        groups scattered over several blocks, and exact duplicates on both
+        sides of a row-block boundary and in the first and last column of a
+        column tile. The id is the block size."""
         if block is not None:
             monkeypatch.setattr(pseudolabel, "BLOCK", block)
-        block = pseudolabel.BLOCK
-        base = grouped_points(43, n_groups=block // 5 + 10, per_group=6, n_noise=12, dim=8)
+            monkeypatch.setattr(pseudolabel, "TILE", tile)
+        block, tile = pseudolabel.BLOCK, pseudolabel.TILE
+        base = grouped_points(43, n_groups=block // 5 + 10, per_group=6, n_noise=13, dim=8)
         n = len(base)
-        assert n > block + 40
+        assert n > block + 40 and n % block and n % tile
         order = np.random.default_rng(43).permutation(n)
         rows = base.vectors[order].copy()
-        rows[block] = rows[block - 1]  # duplicate pair straddling a boundary
-        rows[n - 1] = rows[0]  # duplicate pair in the first and last blocks
-        rows[block + 1] = rows[block - 1]  # a third copy
+        # (source, copy): across a row-block boundary, in the first and last
+        # blocks, and a third copy
+        copies = [(block - 1, block), (0, n - 1), (block - 1, block + 1)]
+        if tile < n:
+            # first and last column of a tile of row block 0, first column of
+            # the second tile of row block 1
+            copies += [(1, tile), (2, tile - 1), (block + 2, block + tile)]
+        for src, dst in copies:
+            rows[dst] = rows[src]
         emb = EmbeddingSet(tuple(f"x{i:04d}" for i in range(n)), rows)
         for threshold in (0.8, 0.95):
             result = cluster_features(emb, threshold)
             clusters, pool = naive_components(emb.vectors.tolist(), list(emb.ids), threshold)
             assert result.clusters == tuple(clusters)
             assert result.unclustered_pool == tuple(pool)
+            found = [
+                pair for r, c in pseudolabel._similar_pairs(emb.vectors, threshold)
+                for pair in zip(r.tolist(), c.tolist())
+            ]
+            assert sorted(found) == naive_pairs(emb.vectors.tolist(), threshold)
             blocks_of = [{int(i[1:]) // block for i in c} for c in result.clusters]
             assert sum(len(b) > 1 for b in blocks_of) >= 5
-            for i, j in ((0, n - 1), (block - 1, block)):
+            for i, j in copies:
                 assert any(f"x{i:04d}" in c and f"x{j:04d}" in c for c in result.clusters)
 
     def test_threshold_edge_decided_in_float64(self):
@@ -153,6 +182,30 @@ class TestClusterFeatures:
             tracemalloc.stop()
         assert len(result.clusters) > 1000
         assert peak < 64e6
+
+    def test_tiled_memory_bound_at_mining_shape(self):
+        """One 512 x 4096 float32 tile is 8.4 MB; a scan through one
+        512-row x n block peaked at 41.6 MB here."""
+        emb, _, _ = gen_synthetic(1333, 12, 1, 64, 0.07, seed=7)
+        assert len(emb) == 15996
+        result, peak = traced_cluster_features(emb, 0.8)
+        assert len(result.clusters) > 1000
+        assert peak < 16e6
+
+    def test_traced_peak_independent_of_n(self):
+        """From n to 2n (both above TILE) the peak may grow only by what is
+        O(n) anyway, the input and the pairs (two int64 indices each), plus
+        1 MB: the tile buffer must not grow. A BLOCK x n block would add
+        16 MB here."""
+        small, _, _ = gen_synthetic(666, 12, 1, 64, 0.07, seed=7)
+        large, _, _ = gen_synthetic(1332, 12, 1, 64, 0.07, seed=7)
+        assert len(large) == 2 * len(small) > 2 * pseudolabel.TILE
+        (_, small_peak), (_, large_peak) = (
+            traced_cluster_features(emb, 0.8) for emb in (small, large)
+        )
+        pair_growth = n_pairs(large, 0.8) - n_pairs(small, 0.8)
+        slack = large.vectors.nbytes - small.vectors.nbytes + 16 * pair_growth + 1e6
+        assert large_peak - small_peak <= slack
 
 
 class TestFilterConfident:

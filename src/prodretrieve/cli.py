@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import embed_store, ensemble, evalbench, harness, pseudolabel, rerank, search
-from .errors import ManifestInvalid, ProdRetrieveError, ShardsMissing
+from .errors import ManifestInvalid, ProdRetrieveError
 from .fileio import sha256_file, write_json
 
 EXIT_OK = 0
@@ -360,10 +360,8 @@ def _step_argv(step: dict, base: str) -> tuple[list, list, list]:
                     for v in values
                 ]
                 (inputs if kind == "inputs" else outputs).extend(values)
-            if len(values) == 1 and values[0] is True:
-                argv.append(f"--{key}")
-            else:
-                argv.append(f"--{key}")
+            argv.append(f"--{key}")
+            if not (len(values) == 1 and values[0] is True):  # not a bare flag
                 argv.extend(str(v) for v in values)
     return argv, inputs, outputs
 
@@ -446,17 +444,10 @@ def run(argv=None) -> int:
             HANDLERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except PipelineConfigError as exc:
-        print(f"PipelineConfigError: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ManifestInvalid as exc:
-        print(f"ManifestInvalid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ShardsMissing as exc:
-        print(f"ShardsMissing: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ProdRetrieveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, (ManifestInvalid, PipelineConfigError)):
+            return EXIT_CONFIG
         return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"FileNotFound: {exc}", file=sys.stderr)

@@ -39,23 +39,23 @@ class EnsembleSpec:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
 
     @classmethod
-    def from_json(cls, path, method: str | None = None) -> "EnsembleSpec":
-        """Read a spec file. A spec without "method" takes `method` (or
-        "voting"); a malformed spec, or one naming a method other than
-        `method` when that is given, raises ManifestInvalid."""
+    def from_json(cls, path, method: str) -> "EnsembleSpec":
+        """Read a spec file for the command fusing by `method`. A spec
+        without "method" takes `method`; a malformed spec, or one naming
+        another method, raises ManifestInvalid."""
         with open(path, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
                 spec = cls(
                     members=tuple((m["label"], m["path"]) for m in obj["members"]),
-                    method=obj.get("method", method or "voting").lower(),
+                    method=obj.get("method", method).lower(),
                     k=obj.get("k", DEFAULT_K),
                 )
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ManifestInvalid(
                     f"{path} is not an ensemble spec: {type(exc).__name__}: {exc}"
                 ) from exc
-        if method is not None and spec.method != method:
+        if spec.method != method:
             raise ManifestInvalid(f"{path} names method {spec.method!r}, not {method!r}")
         return spec
 

@@ -7,17 +7,20 @@ copy-on-write, re-ranks only its own query rows and makes no BLAS call;
 the job directory carries the manifest in and the shard files out. Since
 the build runs before any fork, a data error in the inputs (too few items,
 rows not unit-norm, mismatched dims) ends the job with that error, not with
-every shard lost. A worker commits its shard file by fsync + rename, so a
-killed worker leaves at most a temp file and its shard is indistinguishable
-from one that never ran. Missing shards are tolerated (or fatal, under the
-strict policy) and reported by query id, with every non-zero worker exit
-code and each worker's wall time. The `worker` CLI subcommand runs one
-shard by hand, or on another host that sees the job directory; it builds
-the index itself with the same function, so its shard file has the same
-bytes.
+every shard lost. The manifest stores the query ids and the shard count;
+shard i's file is always shard_<i>.jsonl, and a manifest that lacks the ids
+or stores other counts or file names is refused. The coordinator removes
+the job's shard files before its first fork, and a worker commits its file
+by fsync + rename, so a killed worker's shard is "absent", never an earlier
+run's lists. Missing shards are tolerated (or fatal, under the strict
+policy) and reported by query id, with every non-zero worker exit code and
+each worker's wall time. The `worker` CLI subcommand runs one shard by
+hand, or on another host that sees the job directory; it builds the index
+itself with the same function, so its shard file has the same bytes.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import multiprocessing
@@ -34,7 +37,6 @@ from .rerank import (
     RerankParams,
     ShardManifest,
     build_neighbours,
-    build_shard_manifest,
     kreciprocal_rerank,
     merge_shard_results,
     rerank_rows,
@@ -55,19 +57,16 @@ class JobManifest:
     params: RerankParams
     shards: ShardManifest
     depth: int = 10  # top-k depth of the ranking lists workers emit
-    stage: str = "rerank"
     created_at: str = ""
 
     def __post_init__(self):
-        if self.stage != "rerank":
-            raise ManifestInvalid(f"unknown stage {self.stage!r}")
         if self.depth < 1:
             raise ManifestInvalid("depth must be >= 1")
 
     def to_dict(self) -> dict:
         return {
             "job_id": self.job_id,
-            "stage": self.stage,
+            "stage": "rerank",  # the only stage a job runs
             "inputs": {"queries": self.query_path, "gallery": self.gallery_path},
             "params": {
                 "k1": self.params.k1,
@@ -82,6 +81,8 @@ class JobManifest:
     @classmethod
     def from_dict(cls, obj: dict) -> "JobManifest":
         try:
+            if obj.get("stage", "rerank") != "rerank":
+                raise ManifestInvalid(f"unknown stage {obj['stage']!r}")
             params = obj["params"]
             return cls(
                 job_id=obj["job_id"],
@@ -92,10 +93,9 @@ class JobManifest:
                 ),
                 shards=ShardManifest.from_dict(obj["shards"]),
                 depth=obj.get("depth", 10),
-                stage=obj.get("stage", "rerank"),
                 created_at=obj.get("created_at", ""),
             )
-        except (KeyError, TypeError, InvalidParams) as exc:
+        except (AttributeError, KeyError, TypeError, InvalidParams) as exc:
             raise ManifestInvalid(f"bad manifest: {exc}") from exc
 
 
@@ -106,31 +106,23 @@ def create_job(
     params: RerankParams,
     n_shards: int,
     depth: int = 10,
-    job_id: str | None = None,
 ) -> JobManifest:
-    """Validate inputs, build the shard assignment, write manifest.json."""
+    """Validate inputs, assign query rows to shards, write job_dir/manifest.json."""
     for path in (query_path, gallery_path):
         if not os.path.isfile(path):
             raise ManifestInvalid(f"input file missing: {path}")
-    queries = load_embeddings(query_path)
-    shards = build_shard_manifest(
-        len(queries), n_shards, job_dir, query_ids=queries.ids
-    )
     manifest = JobManifest(
-        job_id=job_id or os.path.basename(os.path.normpath(job_dir)) or "job",
+        job_id=os.path.basename(os.path.normpath(job_dir)) or "job",
         query_path=os.path.abspath(query_path),
         gallery_path=os.path.abspath(gallery_path),
         params=params,
-        shards=shards,
+        shards=ShardManifest(load_embeddings(query_path).ids, n_shards),
         depth=depth,
         created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
-    save_manifest(manifest, os.path.join(job_dir, MANIFEST_NAME))
+    os.makedirs(job_dir, exist_ok=True)
+    write_json(os.path.join(job_dir, MANIFEST_NAME), manifest.to_dict())
     return manifest
-
-
-def save_manifest(manifest: JobManifest, path) -> None:
-    write_json(path, manifest.to_dict())
 
 
 def load_manifest(path) -> JobManifest:
@@ -212,6 +204,11 @@ def coordinator_run(
         raise InvalidParams("parallelism must be >= 1")
     manifest = load_manifest(manifest_path)
     job_dir = os.path.dirname(os.path.abspath(manifest_path))
+    # an earlier run's shard would be merged as this run's if its worker
+    # died; a path that cannot be removed (a directory) the merge reports
+    for fname in manifest.shards.result_files:
+        with contextlib.suppress(OSError):
+            os.remove(os.path.join(job_dir, fname))
     index = build_neighbours(
         load_embeddings(manifest.query_path),
         load_embeddings(manifest.gallery_path),

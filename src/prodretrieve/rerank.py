@@ -36,9 +36,11 @@ Large jobs are split by query index modulo the shard count. The job
 harness builds the index once and each shard re-ranks its own rows of it;
 a shard run on its own builds the same index itself. A row's bits depend
 only on the index, so merged results are bit-identical regardless of shard
-count or of which process built the index. A shard result file is
-committed by fsync + rename and ends in a {"sha256": ...} trailer over its
-payload, so a partial, corrupted or old-format file is refused, never merged.
+count or of which process built the index. A `ShardManifest` holds the
+query ids and shard count; shard i's file is shard_<i>.jsonl, and a stored
+manifest lacking the ids or with other counts or names is refused. Shards
+commit by fsync + rename with a {"sha256": ...} trailer over the payload;
+a partial, corrupt, old-format or foreign shard is refused, never merged.
 """
 from __future__ import annotations
 
@@ -283,46 +285,47 @@ def kreciprocal_rerank(
 
 @dataclass(frozen=True)
 class ShardManifest:
-    """Modulo assignment of query indices to shard result files."""
+    """Query row r goes to shard r mod n_shards, whose file is shard_<i>.jsonl."""
 
-    n_queries: int
+    query_ids: tuple[str, ...]
     n_shards: int
-    result_files: tuple[str, ...]
-    query_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n_shards < 1:
             raise InvalidParams("n_shards must be >= 1")
-        object.__setattr__(self, "result_files", tuple(self.result_files))
-        if self.query_ids is not None:
-            object.__setattr__(self, "query_ids", tuple(self.query_ids))
-            if len(self.query_ids) != self.n_queries:
-                raise InvalidParams("query_ids length disagrees with n_queries")
+        object.__setattr__(self, "query_ids", tuple(self.query_ids))
+
+    @property
+    def n_queries(self) -> int:
+        return len(self.query_ids)
+
+    @property
+    def result_files(self) -> tuple[str, ...]:
+        return tuple(f"shard_{i}.jsonl" for i in range(self.n_shards))
 
     def shard_rows(self, shard_index: int) -> list[int]:
         return list(range(shard_index, self.n_queries, self.n_shards))
 
     def to_dict(self) -> dict:
-        obj = {
+        return {
             "n_queries": self.n_queries,
             "n_shards": self.n_shards,
             "result_files": list(self.result_files),
+            "query_ids": list(self.query_ids),
         }
-        if self.query_ids is not None:
-            obj["query_ids"] = list(self.query_ids)
-        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ShardManifest":
         # older manifests name their assignment; modulo is the only one
         if obj.get("assignment", "modulo") != "modulo":
             raise InvalidParams(f"unknown assignment {obj['assignment']!r}")
-        return cls(
-            n_queries=obj["n_queries"],
-            n_shards=obj["n_shards"],
-            result_files=tuple(obj["result_files"]),
-            query_ids=tuple(obj["query_ids"]) if obj.get("query_ids") else None,
-        )
+        if "query_ids" not in obj:
+            raise InvalidParams("shard manifest has no query_ids")
+        manifest = cls(obj["query_ids"], obj["n_shards"])
+        for key, derived in manifest.to_dict().items():
+            if obj.get(key) != derived:
+                raise InvalidParams(f"stored {key} disagrees with query_ids and n_shards")
+        return manifest
 
 
 @dataclass
@@ -350,20 +353,6 @@ class MissingReport:
             "exit_codes": {str(i): c for i, c in self.exit_codes.items()},
             "wall_s": {str(i): s for i, s in self.wall_s.items()},
         }
-
-
-def build_shard_manifest(
-    n_queries: int, n_shards: int, job_dir, query_ids=None
-) -> ShardManifest:
-    """Assign query index i to shard (i mod n_shards) and name result files."""
-    manifest = ShardManifest(
-        n_queries=n_queries,
-        n_shards=n_shards,
-        result_files=tuple(f"shard_{i}.jsonl" for i in range(n_shards)),
-        query_ids=tuple(query_ids) if query_ids is not None else None,
-    )
-    os.makedirs(job_dir, exist_ok=True)
-    return manifest
 
 
 def shard_result_bytes(lists) -> bytes:
@@ -402,16 +391,17 @@ def merge_shard_results(manifest: ShardManifest, job_dir):
     """Collect whatever shard files exist; absences are reported, not fatal.
 
     Results for present shards are bit-identical to a single-shard run
-    restricted to those queries. A shard whose lists do not match the
-    manifest's rows in number, or in query ids when the manifest has them,
-    was written for another job and is rejected as "stale"; one whose path
-    cannot be opened or read (a directory, no permission) is "unreadable".
+    restricted to those queries. A shard whose lists are not the manifest's
+    query ids for its rows, in order, was written for another job and is
+    rejected as "stale"; one whose path cannot be opened or read (a
+    directory, no permission) is "unreadable".
     """
     report = MissingReport()
     by_row: dict[int, RankingList] = {}
     for shard, fname in enumerate(manifest.result_files):
         path = os.path.join(job_dir, fname)
         rows = manifest.shard_rows(shard)
+        ids = [manifest.query_ids[r] for r in rows]
         reason = None
         try:
             with open(path, "rb") as fh:
@@ -423,22 +413,13 @@ def merge_shard_results(manifest: ShardManifest, job_dir):
         except OSError:
             reason = "unreadable"
         else:
-            if len(lists) != len(rows) or (
-                manifest.query_ids is not None
-                and [rl.query_id for rl in lists] != _row_ids(manifest, rows)
-            ):
+            if [rl.query_id for rl in lists] != ids:
                 reason = "stale"
         if reason is not None:
             report.reasons[shard] = reason
-            report.missing_queries.extend(_row_ids(manifest, rows))
+            report.missing_queries.extend(ids)
             continue
         for row, rl in zip(rows, lists):
             by_row[row] = rl
     results = [by_row[r] for r in sorted(by_row)]
     return results, report
-
-
-def _row_ids(manifest: ShardManifest, rows) -> list[str]:
-    if manifest.query_ids is not None:
-        return [manifest.query_ids[r] for r in rows]
-    return [str(r) for r in rows]

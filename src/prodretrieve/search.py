@@ -311,13 +311,12 @@ def ranking_to_json(rl: RankingList) -> str:
     })
 
 
-def ranking_from_json(line: str, k: int | None = None) -> RankingList:
+def ranking_from_json(line: str) -> RankingList:
     obj = json.loads(line)
-    ranks = obj["ranks"]
     return RankingList(
         query_id=obj["query"],
-        entries=tuple((g, float(s)) for g, s in ranks),
-        k=len(ranks) if k is None else k,
+        entries=obj["ranks"],  # made (id, float) pairs by RankingList
+        k=len(obj["ranks"]),
         orientation=obj.get("orientation", "distance"),
     )
 

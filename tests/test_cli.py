@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from prodretrieve.cli import run
+from prodretrieve.cli import _step_argv, run
 from prodretrieve.embed_store import EmbeddingSet, load_embeddings, save_embeddings
 from prodretrieve.evalbench import gen_synthetic, save_ground_truth
 from prodretrieve.search import (
@@ -362,6 +362,15 @@ class TestPipeline:
     def test_unknown_op_is_3(self, tmp_path, capsys):
         steps = [{"name": "bad", "op": "train-model"}]
         assert run(["pipeline", "--config", self._config(tmp_path, steps)]) == 3
+
+    def test_step_argv_bare_flag(self):
+        """`true` is a bare flag; 1, though equal to True, is a value."""
+        step = {"op": "eval", "params": {"per-query": True, "k": 1},
+                "inputs": {"lists": "l.jsonl"}}
+        argv, inputs, outputs = _step_argv(step, "/base")
+        lists = os.path.join("/base", "l.jsonl")
+        assert argv == ["eval", "--per-query", "--k", "1", "--lists", lists]
+        assert (inputs, outputs) == ([lists], [])
 
     def test_matches_manual_subcommands(self, tmp_path, capsys):
         steps = [

@@ -184,7 +184,7 @@ def test_ensemble_spec_round_trip(tmp_path):
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    loaded = EnsembleSpec.from_json(path)
+    loaded = EnsembleSpec.from_json(path, "voting")
     assert loaded.method == "voting"
     assert loaded.k == 10
     assert loaded.members == (("resnest-512", "a.jsonl"), ("vit-400", "b.jsonl"))

@@ -46,6 +46,40 @@ def make_job(tmp_path, small_inputs, n_shards, depth=10):
     return job_dir
 
 
+# manifest.json as `shard` wrote it, %-formatted with the JSON input paths
+EARLIER_MANIFEST = """{
+  "job_id": "job",
+  "stage": "rerank",
+  "inputs": {
+    "queries": %s,
+    "gallery": %s
+  },
+  "params": {
+    "k1": 3,
+    "k2": 2,
+    "lambda": 0.3
+  },
+  "depth": 5,
+  "shards": {
+    "n_queries": 4,
+    "n_shards": 3,
+    "result_files": [
+      "shard_0.jsonl",
+      "shard_1.jsonl",
+      "shard_2.jsonl"
+    ],
+    "query_ids": [
+      "q00000_000",
+      "q00000_001",
+      "q00001_000",
+      "q00001_001"
+    ]
+  },
+  "created_at": "2026-10-18T23:26:14.504794+00:00"
+}
+"""
+
+
 def merged_bytes(results):
     return "".join(ranking_to_json(rl) + "\n" for rl in results).encode()
 
@@ -70,6 +104,57 @@ class TestManifest:
         path.write_text("{not json")
         with pytest.raises(ManifestInvalid):
             load_manifest(path)
+
+    @pytest.mark.parametrize("edit", ["not-an-object", "shards-not-an-object"])
+    def test_non_object_manifest_refused(self, tmp_path, small_inputs, edit):
+        job_dir = make_job(tmp_path, small_inputs, 2)
+        path = job_dir / MANIFEST_NAME
+        obj = json.loads(path.read_text())
+        obj = [] if edit == "not-an-object" else {**obj, "shards": []}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ManifestInvalid):
+            load_manifest(path)
+
+    def test_earlier_format_loads_and_round_trips(self, tmp_path, small_inputs):
+        """A manifest.json as `shard` wrote it before the shard block's
+        n_queries and result_files were derived loads, and is written back
+        as the same dict."""
+        qpath, gpath = small_inputs
+        text = EARLIER_MANIFEST % (json.dumps(qpath), json.dumps(gpath))
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(text)
+        assert load_manifest(path).to_dict() == json.loads(text)
+
+    @pytest.mark.parametrize("command", ["worker", "coordinate", "merge"])
+    @pytest.mark.parametrize("edit", ["short-result-files", "path-outside-job", "no-query-ids"])
+    def test_edited_shard_block_refused(self, tmp_path, small_inputs, capsys, command, edit):
+        """A shard block whose stored values are not the ones its query ids
+        and shard count give is refused with exit 3 before any shard runs:
+        a short file list would drop queries from a strict merge, and an
+        absolute file name would send a worker's output outside the job."""
+        job_dir = make_job(tmp_path, small_inputs, 2)
+        manifest_path = job_dir / MANIFEST_NAME
+        obj = json.loads(manifest_path.read_text())
+        outside = tmp_path / "outside.jsonl"
+        if edit == "short-result-files":
+            obj["shards"]["result_files"] = ["shard_0.jsonl"]
+        elif edit == "path-outside-job":
+            obj["shards"]["result_files"][1] = str(outside)
+        else:
+            del obj["shards"]["query_ids"]
+        manifest_path.write_text(json.dumps(obj))
+        out = tmp_path / "merged.jsonl"
+        argv = {
+            "worker": ["worker", "--manifest", str(manifest_path), "--shard", "1"],
+            "coordinate": ["coordinate", "--manifest", str(manifest_path),
+                           "--fail-policy", "strict", "--out", str(out)],
+            "merge": ["merge", "--job-dir", str(job_dir), "--out", str(out)],
+        }[command]
+        assert cli.run(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ManifestInvalid: "), err
+        assert not out.exists() and not outside.exists()
+        assert sorted(os.listdir(job_dir)) == [MANIFEST_NAME]
 
 
 class TestWorker:
@@ -199,6 +284,47 @@ class TestCoordinator:
         self._rig_shard_failure(monkeypatch, 1)
         with pytest.raises(ShardsMissing):
             coordinator_run(str(job_dir / MANIFEST_NAME), fail_policy="strict")
+
+    @pytest.mark.parametrize("fail_policy", ["strict", "tolerate"])
+    def test_recreated_job_never_merges_old_shards(
+        self, tmp_path, small_inputs, monkeypatch, fail_policy
+    ):
+        """A job re-created in the same directory with new params, whose
+        workers all die before they commit, merges nothing: the coordinator
+        removed the earlier run's shard files before it forked."""
+        from prodretrieve import harness
+
+        qpath, gpath = small_inputs
+        job_dir = tmp_path / "job"
+        manifest_path = str(job_dir / MANIFEST_NAME)
+        create_job(str(job_dir), qpath, gpath, RerankParams(k1=5, k2=2), n_shards=2)
+        assert coordinator_run(manifest_path)[1].ok
+        create_job(str(job_dir), qpath, gpath, RerankParams(k1=8, k2=2), n_shards=2)
+
+        def write_shard_result(lists, path):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(harness, "write_shard_result", write_shard_result)
+        if fail_policy == "strict":
+            with pytest.raises(ShardsMissing):
+                coordinator_run(manifest_path, fail_policy="strict")
+        else:
+            results, report = coordinator_run(manifest_path)
+            assert report.reasons == {0: "absent", 1: "absent"}
+            assert report.exit_codes == {0: 1, 1: 1}
+            assert results == [] and len(report.missing_queries) == 16
+
+    def test_strict_cli_exits_2(self, tmp_path, small_inputs, capsys):
+        job_dir = make_job(tmp_path, small_inputs, 2)
+        (job_dir / "shard_1.jsonl").mkdir()
+        out = tmp_path / "merged.jsonl"
+        code = cli.run([
+            "coordinate", "--manifest", str(job_dir / MANIFEST_NAME),
+            "--fail-policy", "strict", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("ShardsMissing: ")
+        assert not out.exists()
 
     def test_failed_worker_exit_code_reported(self, tmp_path, small_inputs, monkeypatch):
         job_dir = make_job(tmp_path, small_inputs, 3)

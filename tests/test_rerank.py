@@ -15,7 +15,6 @@ from prodretrieve.rerank import (
     RerankParams,
     ShardManifest,
     build_neighbours,
-    build_shard_manifest,
     kreciprocal_rerank,
     merge_shard_results,
     read_shard_result,
@@ -261,27 +260,45 @@ class TestNeighbourIndex:
 
 
 class TestSharding:
-    def test_single_shard(self, tmp_path):
-        m = build_shard_manifest(10, 1, tmp_path)
+    @staticmethod
+    def _ids(n):
+        return [f"q{i}" for i in range(n)]
+
+    def test_single_shard(self):
+        m = ShardManifest(self._ids(10), 1)
         assert m.shard_rows(0) == list(range(10))
 
-    def test_modulo_assignment(self, tmp_path):
-        m = build_shard_manifest(10, 3, tmp_path)
+    def test_modulo_assignment(self):
+        m = ShardManifest(self._ids(10), 3)
         assert m.shard_rows(0) == [0, 3, 6, 9]
         assert m.shard_rows(1) == [1, 4, 7]
         assert m.shard_rows(2) == [2, 5, 8]
 
-    def test_exact_division(self, tmp_path):
-        m = build_shard_manifest(1000, 100, tmp_path)
+    def test_exact_division(self):
+        m = ShardManifest(self._ids(1000), 100)
         assert all(len(m.shard_rows(i)) == 10 for i in range(100))
 
-    def test_round_trip_dict(self, tmp_path):
-        m = build_shard_manifest(7, 2, tmp_path, query_ids=[f"q{i}" for i in range(7)])
+    def test_round_trip_dict(self):
+        m = ShardManifest(self._ids(7), 2)
+        assert m.n_queries == 7
+        assert m.result_files == ("shard_0.jsonl", "shard_1.jsonl")
         back = ShardManifest.from_dict(m.to_dict())
         assert back == m
 
-    def test_old_manifest_with_assignment_key(self, tmp_path):
-        m = build_shard_manifest(7, 2, tmp_path)
+    @pytest.mark.parametrize("edit", [
+        {"query_ids": None},
+        {"n_queries": 8},
+        {"result_files": ["shard_0.jsonl"]},
+        {"result_files": ["shard_0.jsonl", "/elsewhere/shard_1.jsonl"]},
+    ])
+    def test_stored_values_must_be_derived(self, edit):
+        obj = {**ShardManifest(self._ids(7), 2).to_dict(), **edit}
+        obj = {k: v for k, v in obj.items() if v is not None}
+        with pytest.raises(InvalidParams):
+            ShardManifest.from_dict(obj)
+
+    def test_old_manifest_with_assignment_key(self):
+        m = ShardManifest(self._ids(7), 2)
         assert ShardManifest.from_dict({**m.to_dict(), "assignment": "modulo"}) == m
         with pytest.raises(InvalidParams):
             ShardManifest.from_dict({**m.to_dict(), "assignment": "blocked"})
@@ -310,7 +327,7 @@ class TestShardFiles:
         )
         with pytest.raises(CorruptShard):
             read_shard_result(old)
-        manifest = build_shard_manifest(1, 1, tmp_path, query_ids=["q0"])
+        manifest = ShardManifest(["q0"], 1)
         (tmp_path / "shard_0.jsonl").write_bytes(old)
         results, report = merge_shard_results(manifest, tmp_path)
         assert results == [] and report.reasons == {0: "checksum"}
@@ -343,7 +360,7 @@ class TestShardFiles:
 class TestMerge:
     def _job(self, tmp_path, n_queries=9, n_shards=3):
         qids = [f"q{i:02d}" for i in range(n_queries)]
-        manifest = build_shard_manifest(n_queries, n_shards, tmp_path, query_ids=qids)
+        manifest = ShardManifest(qids, n_shards)
         for shard in range(n_shards):
             lists = [
                 RankingList(qids[r], ((f"g{r}", float(r)),), k=10)
@@ -380,12 +397,10 @@ class TestMerge:
         assert report.reasons == {2: "checksum"}
         assert sorted(report.missing_queries) == [qids[r] for r in manifest.shard_rows(2)]
 
-    @pytest.mark.parametrize("with_ids", [True, False])
-    def test_stale_shard_from_reused_job_dir(self, tmp_path, with_ids):
+    def test_stale_shard_from_reused_job_dir(self, tmp_path):
         # the directory still holds shard_0.jsonl of an earlier 4-shard job
-        self._job(tmp_path, n_queries=40, n_shards=4)
-        qids = [f"q{i:02d}" for i in range(40)] if with_ids else None
-        manifest = build_shard_manifest(40, 1, tmp_path, query_ids=qids)
+        _, qids = self._job(tmp_path, n_queries=40, n_shards=4)
+        manifest = ShardManifest(qids, 1)
         results, report = merge_shard_results(manifest, tmp_path)
         assert not report.ok
         assert report.reasons == {0: "stale"}

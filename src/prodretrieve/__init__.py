@@ -20,7 +20,7 @@ from .embed_store import (
     load_embeddings,
     save_embeddings,
 )
-from .ensemble import EnsembleSpec, max_ensemble, vote_ensemble
+from .ensemble import max_ensemble, vote_ensemble
 from .evalbench import GroundTruth, gen_synthetic, mar_at_k
 from .pseudolabel import assign_pseudo_labels, cluster_features, filter_confident
 from .rerank import RerankParams, kreciprocal_rerank
@@ -42,7 +42,6 @@ __all__ = [
     "l2_normalize",
     "load_embeddings",
     "save_embeddings",
-    "EnsembleSpec",
     "max_ensemble",
     "vote_ensemble",
     "GroundTruth",

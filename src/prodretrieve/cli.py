@@ -101,13 +101,11 @@ def build_parser() -> _Parser:
     p.add_argument("--missing", help="write the missing-query report here")
 
     p = sub.add_parser("max-ensemble", help="score-level maximum ensemble")
-    p.add_argument("--matrices", nargs="+", help="distance matrix .npz files")
-    p.add_argument("--spec", help="EnsembleSpec JSON (member paths are matrices)")
+    p.add_argument("--matrices", nargs="+", required=True, help="distance matrix .npz files")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("vote-ensemble", help="Borda voting over ranking lists")
-    p.add_argument("--lists", nargs="+", help="RankingList .jsonl files")
-    p.add_argument("--spec", help="EnsembleSpec JSON (member paths are lists)")
+    p.add_argument("--lists", nargs="+", required=True, help="RankingList .jsonl files")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True)
 
@@ -236,28 +234,16 @@ def _write_merge_outputs(results, report, out, missing_path) -> None:
 
 
 def cmd_max_ensemble(args) -> None:
-    if bool(args.matrices) == bool(args.spec):
-        raise SystemExit(_usage("max-ensemble needs exactly one of --matrices / --spec"))
-    paths = args.matrices or [
-        p for _, p in ensemble.EnsembleSpec.from_json(args.spec, "maximum").members
-    ]
-    matrices = [search.load_matrix(p) for p in paths]
+    matrices = [search.load_matrix(p) for p in args.matrices]
     search.save_matrix(ensemble.max_ensemble(matrices), args.out)
     _status([args.out])
 
 
 def cmd_vote_ensemble(args) -> None:
-    if bool(args.lists) == bool(args.spec):
-        raise SystemExit(_usage("vote-ensemble needs exactly one of --lists / --spec"))
-    if args.spec:
-        spec = ensemble.EnsembleSpec.from_json(args.spec, "voting")
-        paths, k = [p for _, p in spec.members], spec.k
-    elif args.k < 1:
+    if args.k < 1:
         raise SystemExit(_usage(f"--k must be >= 1, got {args.k}"))
-    else:
-        paths, k = args.lists, args.k
-    model_lists = [search.read_ranking_lists(p) for p in paths]
-    fused = ensemble.vote_ensemble(model_lists, k=k)
+    model_lists = [search.read_ranking_lists(p) for p in args.lists]
+    fused = ensemble.vote_ensemble(model_lists, k=args.k)
     search.write_ranking_lists(fused, args.out)
     _status([args.out])
 

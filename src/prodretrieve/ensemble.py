@@ -7,57 +7,12 @@ casts Borda-style positional votes (k+1-r points for rank r).
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DuplicateBallot, IdMismatch, ManifestInvalid, ShapeMismatch
+from .errors import DuplicateBallot, IdMismatch, ShapeMismatch
 from .search import DistanceMatrix, RankingList
 
 DEFAULT_K = 10
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Labeled member files plus the fusion method and output depth."""
-
-    members: tuple[tuple[str, str], ...]  # (label, path)
-    method: str = "voting"
-    k: int = DEFAULT_K
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise ValueError("ensemble needs at least one member")
-        labels = [lab for lab, _ in self.members]
-        if len(set(labels)) != len(labels):
-            raise ValueError("member labels must be unique")
-        if self.method not in ("maximum", "voting"):
-            raise ValueError(f"unknown ensemble method {self.method!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-
-    @classmethod
-    def from_json(cls, path, method: str) -> "EnsembleSpec":
-        """Read a spec file for the command fusing by `method`. A spec
-        without "method" takes `method`; a malformed spec, or one naming
-        another method, raises ManifestInvalid."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-                spec = cls(
-                    members=tuple((m["label"], m["path"]) for m in obj["members"]),
-                    method=obj.get("method", method).lower(),
-                    k=obj.get("k", DEFAULT_K),
-                )
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ManifestInvalid(
-                    f"{path} is not an ensemble spec: {type(exc).__name__}: {exc}"
-                ) from exc
-        if spec.method != method:
-            raise ManifestInvalid(f"{path} names method {spec.method!r}, not {method!r}")
-        return spec
 
 
 def _row_minmax_similarity(values: np.ndarray) -> np.ndarray:
@@ -129,5 +84,5 @@ def vote_ensemble(model_lists, k: int = DEFAULT_K) -> list[RankingList]:
                 voters[gid] = voters.get(gid, 0) + 1
         ordered = sorted(points, key=lambda g: (-points[g], -voters[g], g))[:k]
         entries = tuple((g, points[g]) for g in ordered)
-        results.append(RankingList(qid, entries, k=k, orientation="similarity"))
+        results.append(RankingList(qid, entries, orientation="similarity"))
     return results

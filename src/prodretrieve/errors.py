@@ -10,6 +10,11 @@ class ProdRetrieveError(Exception):
     """Base class for all pipeline errors."""
 
 
+class MalformedFile(ProdRetrieveError):
+    """A matrix, ranking-list or ground-truth file breaks its format, or an
+    id cannot be stored in one unchanged."""
+
+
 # --- embedding store ---
 
 class MagicMismatch(ProdRetrieveError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed_store import EmbeddingSet
-from .errors import InvalidParams, UnknownGalleryId
+from .errors import DuplicateBallot, InvalidParams, MalformedFile, UnknownGalleryId
 from .fileio import atomic_open, compact_json
 from .search import RankingList
 
@@ -62,6 +62,8 @@ def mar_at_k(lists, gt: GroundTruth, k: int = DEFAULT_K, gallery_ids=None) -> Ev
     known = set(gallery_ids) if gallery_ids is not None else None
     by_query: dict[str, RankingList] = {}
     for rl in lists:
+        if rl.query_id in by_query:
+            raise DuplicateBallot(f"two ranking lists for query {rl.query_id!r}")
         by_query[rl.query_id] = rl
         if known is not None:
             for gid in rl.gallery_ids:
@@ -144,12 +146,18 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
+    """A line that is not a {"query", "relevant"} object, or that lists a
+    query again, raises MalformedFile naming the file and the line."""
     relevant = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
-            relevant[obj["query"]] = set(obj["relevant"])
+            try:
+                obj = json.loads(line)
+                if obj["query"] in relevant:
+                    raise ValueError(f"query {obj['query']!r} is listed twice")
+                relevant[obj["query"]] = set(obj["relevant"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MalformedFile(f"{path} line {lineno}: {exc!r}") from exc
     return GroundTruth(relevant)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed_store import EmbeddingSet, row_norms
-from .errors import DimMismatch, NotNormalized, UnmappedCropId
+from .errors import DimMismatch, MalformedFile, NotNormalized, UnmappedCropId
 from .fileio import atomic_open, compact_json, write_json
 
 NORM_TOL = 1e-4
@@ -72,15 +72,12 @@ class RankingList:
 
     query_id: str
     entries: tuple[tuple[str, float], ...]
-    k: int
     orientation: str = "distance"
 
     def __post_init__(self):
         object.__setattr__(
             self, "entries", tuple((g, float(s)) for g, s in self.entries)
         )
-        if len(self.entries) > self.k:
-            raise ValueError(f"{len(self.entries)} entries exceed k={self.k}")
         gids = [g for g, _ in self.entries]
         if len(set(gids)) != len(gids):
             raise ValueError("duplicate gallery id in ranking list")
@@ -255,7 +252,7 @@ def topk(matrix: DistanceMatrix, k: int) -> list[RankingList]:
             matrix.query_ids[start:start + QUERY_BLOCK], cols.tolist(), dists.tolist()
         ):
             entries = tuple(zip([gids[j] for j in row_cols], row_dists))
-            results.append(RankingList(qid, entries, k=k))
+            results.append(RankingList(qid, entries))
     return results
 
 
@@ -283,24 +280,34 @@ def aggregate_crops(matrix: DistanceMatrix, crop_map: CropGroupMap) -> DistanceM
 
 # --- on-disk formats ---
 
+def _id_array(ids, path) -> np.ndarray:
+    # numpy's fixed-width unicode drops trailing NULs on read
+    bad = next((i for i in ids if i.endswith("\0")), None)
+    if bad is not None:
+        raise MalformedFile(f"{path}: id {bad!r} ends in NUL and would not round-trip")
+    return np.array(ids, dtype=str)
+
+
 def save_matrix(matrix: DistanceMatrix, path) -> None:
+    """Ids are stored as fixed-width unicode arrays, so no load needs pickle."""
+    q, g = (_id_array(ids, path) for ids in (matrix.query_ids, matrix.gallery_ids))
     # saved through a handle, np.savez adds no ".npz" suffix to `path`
     with atomic_open(path, "wb") as fh:
-        np.savez(
-            fh,
-            query_ids=np.array(matrix.query_ids, dtype=object),
-            gallery_ids=np.array(matrix.gallery_ids, dtype=object),
-            values=matrix.values,
-        )
+        np.savez(fh, query_ids=q, gallery_ids=g, values=matrix.values)
 
 
 def load_matrix(path) -> DistanceMatrix:
-    with np.load(path, allow_pickle=True) as npz:
-        return DistanceMatrix(
-            tuple(npz["query_ids"].tolist()),
-            tuple(npz["gallery_ids"].tolist()),
-            npz["values"],
-        )
+    """Read a `save_matrix` file without pickle. Object (pickled) arrays,
+    ids that are not 1-D unicode, and missing or mis-shaped arrays raise
+    MalformedFile."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            ids = [npz[key] for key in ("query_ids", "gallery_ids")]
+            if any(a.ndim != 1 or a.dtype.kind != "U" for a in ids):
+                raise ValueError("ids are not 1-D unicode arrays")
+            return DistanceMatrix(*(tuple(a.tolist()) for a in ids), npz["values"])
+    except (ValueError, KeyError) as exc:
+        raise MalformedFile(f"{path} is not a distance-matrix file: {exc}") from exc
 
 
 def ranking_to_json(rl: RankingList) -> str:
@@ -316,7 +323,6 @@ def ranking_from_json(line: str) -> RankingList:
     return RankingList(
         query_id=obj["query"],
         entries=obj["ranks"],  # made (id, float) pairs by RankingList
-        k=len(obj["ranks"]),
         orientation=obj.get("orientation", "distance"),
     )
 
@@ -328,12 +334,16 @@ def write_ranking_lists(lists, path) -> None:
 
 
 def read_ranking_lists(path) -> list[RankingList]:
+    """Every list in a JSONL file; a line that is not one raises
+    MalformedFile naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(ranking_from_json(line))
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    out.append(ranking_from_json(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise MalformedFile(f"{path} line {lineno}: {exc!r}") from exc
     return out
 
 

@@ -200,7 +200,7 @@ def test_4_retrieval_improvement_regression():
 def test_5_ensemble_laws():
     with criterion(5, "ensemble identity, rescaling, Borda example"):
         base = [RankingList(
-            "q", tuple((f"g{i}", float(i)) for i in range(10)), k=10
+            "q", tuple((f"g{i}", float(i)) for i in range(10))
         )]
         for m in (1, 3, 20):
             out = vote_ensemble([base] * m, k=10)
@@ -222,7 +222,7 @@ def test_5_ensemble_laws():
 
         def ballot(order):
             return [RankingList(
-                "q", tuple((g, float(i)) for i, g in enumerate(order)), k=3
+                "q", tuple((g, float(i)) for i, g in enumerate(order))
             )]
         out = vote_ensemble(
             [ballot("xyz"), ballot("yxz"), ballot("yzx")], k=3
@@ -276,13 +276,13 @@ def test_7_metric_sanity():
 
         clamp_gt = GroundTruth({"q": {f"r{i}" for i in range(30)}})
         clamp_list = [RankingList(
-            "q", tuple((f"r{i}", float(i)) for i in range(10)), k=10
+            "q", tuple((f"r{i}", float(i)) for i in range(10))
         )]
         report = mar_at_k(clamp_list, clamp_gt, 10)
         assert report.per_query["q"] == 1.0
 
         gt2 = GroundTruth({"q0": {"a"}, "q1": {"a"}})
-        report = mar_at_k([RankingList("q0", (("a", 0.0),), k=10)], gt2, 10)
+        report = mar_at_k([RankingList("q0", (("a", 0.0),))], gt2, 10)
         assert report.n_missing == 1
         assert report.per_query["q1"] == 0.0
         assert report.mar_at_k == 0.5
@@ -305,7 +305,7 @@ def test_8_format_bit_exactness(tmp_path):
             assert back.vectors.tobytes() == emb.vectors.tobytes()
 
         lists = [RankingList(
-            f"q{i}", ((f"g{i}", 0.5), ("gz", 1.0)), k=10
+            f"q{i}", ((f"g{i}", 0.5), ("gz", 1.0))
         ) for i in range(3)]
         data = shard_result_bytes(lists)
         payload_len = data.rindex(b"\n", 0, len(data) - 1) + 1

@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from oracles import naive_borda
 from prodretrieve.cli import _step_argv, run
 from prodretrieve.embed_store import EmbeddingSet, load_embeddings, save_embeddings
+from prodretrieve.ensemble import max_ensemble, vote_ensemble
 from prodretrieve.evalbench import gen_synthetic, save_ground_truth
 from prodretrieve.search import (
-    RankingList, load_matrix, read_ranking_lists, topk, write_ranking_lists,
+    DistanceMatrix, RankingList, load_matrix, read_ranking_lists, save_matrix, topk,
+    write_ranking_lists,
 )
 
 
@@ -36,8 +39,22 @@ def synth(tmp_path):
     return paths
 
 
-ONE_MEMBER = [{"label": "m", "path": "a"}]
-TWIN_LABELS = [{"label": "m", "path": "a"}, {"label": "m", "path": "b"}]
+class _Payload:
+    """Unpickling this makes the directory `path`: a stand-in for the code
+    a foreign pickled file could run."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+def _one_line_error(capsys, prefix):
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    return captured
 
 
 class TestExitCodes:
@@ -113,44 +130,88 @@ class TestExitCodes:
         assert code == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,spec", [
-        ("max-ensemble", {"method": "voting", "members": ONE_MEMBER}),
-        ("vote-ensemble", {"method": "maximum", "members": ONE_MEMBER}),
-        ("vote-ensemble", {"method": "borda", "members": ONE_MEMBER}),
-        ("max-ensemble", {"members": TWIN_LABELS}),
-        ("vote-ensemble", {"members": TWIN_LABELS}),
-        ("vote-ensemble", {"members": []}),
-        ("vote-ensemble", {"members": [{"label": "m"}]}),
-        ("max-ensemble", {"k": 10}),
-        ("vote-ensemble", {"members": ONE_MEMBER, "k": 0}),
-        ("vote-ensemble", {"members": ONE_MEMBER, "k": -1}),
-        ("vote-ensemble", {"members": ONE_MEMBER, "k": "10"}),
-        ("max-ensemble", {"method": "maximum", "members": ONE_MEMBER, "k": 0}),
-    ], ids=["voting-to-max", "maximum-to-vote", "unknown-method", "twin-labels-max",
-            "twin-labels-vote", "no-members", "no-path", "no-members-key",
-            "k-zero", "k-negative", "k-string", "k-zero-max"])
-    def test_bad_ensemble_spec_is_3(self, tmp_path, capsys, command, spec):
-        """A spec naming the other method, or a malformed one, is refused with
-        one stderr line before any member is read."""
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        out = tmp_path / "fused.out"
-        code = run([command, "--spec", str(path), "--out", str(out)])
-        assert code == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ManifestInvalid: "), err
-        assert not out.exists()
-
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_vote_ensemble_bad_k_is_usage_error(self, tmp_path, capsys, k):
         lists = tmp_path / "l.jsonl"
-        write_ranking_lists([RankingList("q", (("g", 0.5),), k=1)], lists)
+        write_ranking_lists([RankingList("q", (("g", 0.5),))], lists)
         out = tmp_path / "voted.jsonl"
         code = run(["vote-ensemble", "--lists", str(lists), "--k", k, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--k must be >= 1" in err[0], err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["max-ensemble", "--matrices", "d.npz", "--spec", "x"], "unrecognized arguments: --spec"),
+        (["vote-ensemble", "--lists", "l.jsonl", "--spec", "x"], "unrecognized arguments: --spec"),
+        (["max-ensemble"], "required: --matrices"),
+        (["vote-ensemble"], "required: --lists"),
+    ], ids=["max-spec", "vote-spec", "max-no-matrices", "vote-no-lists"])
+    def test_ensemble_members_only_as_files_is_usage_error(self, tmp_path, capsys, argv, message):
+        """Members are named by `--matrices`/`--lists` alone, and one is required."""
+        out = tmp_path / "fused.out"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["max-ensemble", "crop-agg"])
+    def test_pickled_matrix_file_is_2_and_never_runs(self, tmp_path, capsys, command):
+        """Ids stored as a pickled object array are refused before anything
+        in them is unpickled."""
+        marker = tmp_path / "payload_ran"
+        evil = tmp_path / "evil.npz"
+        np.savez(
+            evil, query_ids=np.array([_Payload(str(marker))], dtype=object),
+            gallery_ids=np.array(["g0"]), values=np.zeros((1, 1), np.float32),
+        )
+        crop_map = tmp_path / "map.json"
+        crop_map.write_text(json.dumps({"scheme": "custom", "groups": {"p": ["g0"]}}))
+        out = tmp_path / "out.npz"
+        inputs = {
+            "max-ensemble": ["--matrices", str(evil)],
+            "crop-agg": ["--matrix", str(evil), "--map", str(crop_map)],
+        }[command]
+        code = run([command, *inputs, "--out", str(out)])
+        assert not marker.exists()
+        assert code == 2
+        _one_line_error(capsys, f"MalformedFile: {evil} is not a distance-matrix file: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "vote-ensemble"])
+    def test_truncated_lists_file_is_2(self, synth, tmp_path, capsys, command):
+        lists = tmp_path / "l.jsonl"
+        write_ranking_lists([
+            RankingList("q00000_000", (("g00000_000", 0.1),)),
+            RankingList("q00000_001", (("g00000_001", 0.1),)),
+        ], lists)
+        lists.write_bytes(lists.read_bytes()[:-10])
+        out = tmp_path / "voted.jsonl"
+        rest = ["--gt", synth["gt"]] if command == "eval" else ["--out", str(out)]
+        code = run([command, "--lists", str(lists), *rest])
+        assert code == 2
+        captured = _one_line_error(capsys, f"MalformedFile: {lists} line 2: JSONDecodeError")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_eval_two_lists_for_one_query_is_2(self, synth, tmp_path, capsys):
+        """Scoring either list would hide the other; both are refused."""
+        lists = tmp_path / "l.jsonl"
+        write_ranking_lists([
+            RankingList("q00000_000", (("g00000_000", 0.1),)),
+            RankingList("q00000_000", (("g00001_000", 0.1),)),
+        ], lists)
+        code = run(["eval", "--lists", str(lists), "--gt", synth["gt"]])
+        assert code == 2
+        assert _one_line_error(capsys, "DuplicateBallot: ").out == ""
+
+    def test_ground_truth_listing_a_query_twice_is_2(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text('{"query":"q","relevant":["a"]}\n{"query":"q","relevant":["b"]}\n')
+        lists = tmp_path / "l.jsonl"
+        write_ranking_lists([RankingList("q", (("b", 0.1),))], lists)
+        code = run(["eval", "--lists", str(lists), "--gt", str(gt)])
+        assert code == 2
+        assert _one_line_error(capsys, f"MalformedFile: {gt} line 2: ").out == ""
 
 
 class TestSubcommands:
@@ -322,21 +383,42 @@ class TestSubcommands:
         expect = read_ranking_lists(lists)
         assert [r.gallery_ids for r in got] == [r.gallery_ids for r in expect]
 
-        # a --spec with the command's own method, or with none, fuses the same
-        for command, method, member, want in (
-            ("max-ensemble", "maximum", m, tmp_path / "fused.npz"),
-            ("vote-ensemble", "voting", lists, tmp_path / "voted.jsonl"),
-        ):
-            for spec in ({"method": method}, {}):
-                spec["members"] = [{"label": "a", "path": member}, {"label": "b", "path": member}]
-                spec_path = tmp_path / "spec.json"
-                spec_path.write_text(json.dumps(spec))
-                got_path = tmp_path / f"spec_{want.name}"
-                assert run([command, "--spec", str(spec_path), "--out", str(got_path)]) == 0
-                if command == "max-ensemble":
-                    assert load_matrix(got_path).values.tobytes() == load_matrix(want).values.tobytes()
-                else:
-                    assert got_path.read_bytes() == want.read_bytes()
+
+
+    def test_paper_size_ensembles_match_inprocess(self, tmp_path, capsys):
+        """20 distinct seeded members, the size of the paper's ensemble,
+        through `--lists` and `--matrices`. Distances on a grid of 8 values
+        tie often, and each member leaves one query out."""
+        rng = np.random.default_rng(20)
+        qids = tuple(f"q{i:02d}" for i in range(12))
+        gids = tuple(f"g{j:03d}" for j in range(40))
+        matrices, member_lists, matrix_paths, list_paths = [], [], [], []
+        for member in range(20):
+            m = DistanceMatrix(qids, gids, rng.integers(0, 8, (12, 40)) / np.float32(8))
+            lists = [rl for rl in topk(m, 10) if rl.query_id != qids[member % 12]]
+            matrix_paths.append(str(tmp_path / f"d{member}.npz"))
+            list_paths.append(str(tmp_path / f"l{member}.jsonl"))
+            save_matrix(m, matrix_paths[-1])
+            write_ranking_lists(lists, list_paths[-1])
+            matrices.append(m)
+            member_lists.append(lists)
+        assert len({m.values.tobytes() for m in matrices}) == 20
+
+        voted = tmp_path / "voted.jsonl"
+        assert run(["vote-ensemble", "--lists", *list_paths, "--k", "10", "--out", str(voted)]) == 0
+        oracle = naive_borda(
+            [{rl.query_id: list(rl.gallery_ids) for rl in lists} for lists in member_lists], 10
+        )
+        assert {rl.query_id: list(rl.entries) for rl in read_ranking_lists(voted)} == oracle
+        inprocess = tmp_path / "inprocess.jsonl"
+        write_ranking_lists(vote_ensemble(member_lists, k=10), inprocess)
+        assert voted.read_bytes() == inprocess.read_bytes()
+
+        fused = tmp_path / "fused.npz"
+        assert run(["max-ensemble", "--matrices", *matrix_paths, "--out", str(fused)]) == 0
+        got, want = load_matrix(fused), max_ensemble(matrices)
+        assert (got.query_ids, got.gallery_ids) == (want.query_ids, want.gallery_ids)
+        assert got.values.tobytes() == want.values.tobytes()
         capsys.readouterr()
 
 

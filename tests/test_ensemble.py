@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from oracles import naive_borda
-from prodretrieve.ensemble import EnsembleSpec, max_ensemble, vote_ensemble
+from prodretrieve.ensemble import max_ensemble, vote_ensemble
 from prodretrieve.errors import DuplicateBallot, IdMismatch, ShapeMismatch
 from prodretrieve.search import DistanceMatrix, RankingList, topk
 
@@ -16,10 +14,8 @@ def matrix(vals, qids=None, gids=None):
     return DistanceMatrix(qids, gids, vals)
 
 
-def rl(query, gids, k=3):
-    return RankingList(
-        query, tuple((g, float(i)) for i, g in enumerate(gids)), k=k
-    )
+def rl(query, gids):
+    return RankingList(query, tuple((g, float(i)) for i, g in enumerate(gids)))
 
 
 class TestMaxEnsemble:
@@ -114,7 +110,7 @@ class TestVoteEnsemble:
                 if rng.random() < 0.2:
                     continue  # missing ballot
                 picks = list(rng.permutation(items)[:6])
-                per_model.append(rl(q, picks, k=10))
+                per_model.append(rl(q, picks))
                 oracle[q] = picks
             models.append(per_model)
             oracle_models.append(oracle)
@@ -151,45 +147,23 @@ class TestVoteEnsemble:
     def test_tie_break_cascade(self):
         # equal points: "b" ranked by two models, "a" by one
         models = [
-            [rl("q", ["b"], k=2)],          # b: 2 points
-            [rl("q", ["a", "b"], k=2)],      # a: 2 points, b: +1
+            [rl("q", ["b"])],       # b: 2 points
+            [rl("q", ["a", "b"])],  # a: 2 points, b: +1
         ]
         out = vote_ensemble(models, k=2)
         # b has 3 points, a has 2 -> b first
         assert out[0].gallery_ids == ("b", "a")
         # now engineer an exact points tie with different voter counts
         models = [
-            [rl("q", ["a", "b"], k=2)],      # a:2 b:1
-            [rl("q", ["b"], k=2)],           # b:2 -> a:2, b:3
-            [rl("q", ["a"], k=2)],           # a:2 -> a:4... adjust
+            [rl("q", ["a", "b"])],  # a:2 b:1
+            [rl("q", ["b"])],       # b:2 -> a:2, b:3
+            [rl("q", ["a"])],       # a:2 -> a:4... adjust
         ]
         # simpler: a gets rank1 once (2 pts); b gets rank2 twice (1+1 pts=2)
         models = [
-            [rl("q", ["a", "b"], k=2)],
-            [rl("q", ["c", "b"], k=2)],
+            [rl("q", ["a", "b"])],
+            [rl("q", ["c", "b"])],
         ]
         out = vote_ensemble(models, k=3)
         # points: a=2, b=2, c=2; voters: a=1, b=2, c=1 -> b, then a, c by id
         assert out[0].gallery_ids == ("b", "a", "c")
-
-
-def test_ensemble_spec_round_trip(tmp_path):
-    spec = {
-        "method": "voting",
-        "k": 10,
-        "members": [
-            {"label": "resnest-512", "path": "a.jsonl"},
-            {"label": "vit-400", "path": "b.jsonl"},
-        ],
-    }
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    loaded = EnsembleSpec.from_json(path, "voting")
-    assert loaded.method == "voting"
-    assert loaded.k == 10
-    assert loaded.members == (("resnest-512", "a.jsonl"), ("vit-400", "b.jsonl"))
-
-
-def test_ensemble_spec_duplicate_labels():
-    with pytest.raises(ValueError):
-        EnsembleSpec(members=(("m", "a"), ("m", "b")))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_recall_at_k
-from prodretrieve.errors import InvalidParams, UnknownGalleryId
+from prodretrieve.errors import DuplicateBallot, InvalidParams, MalformedFile, UnknownGalleryId
 from prodretrieve.evalbench import (
     GroundTruth,
     gen_synthetic,
@@ -13,8 +13,8 @@ from prodretrieve.evalbench import (
 from prodretrieve.search import RankingList, pairwise_cosine_distance, topk
 
 
-def rl(query, gids, k=10):
-    return RankingList(query, tuple((g, float(i)) for i, g in enumerate(gids)), k=k)
+def rl(query, gids):
+    return RankingList(query, tuple((g, float(i)) for i, g in enumerate(gids)))
 
 
 class TestMarAtK:
@@ -78,6 +78,11 @@ class TestMarAtK:
         with pytest.raises(UnknownGalleryId):
             mar_at_k([rl("q", ["mystery"])], gt, k=10, gallery_ids={"a", "b"})
 
+    def test_two_lists_for_one_query(self):
+        gt = GroundTruth({"q": {"a"}})
+        with pytest.raises(DuplicateBallot):
+            mar_at_k([rl("q", ["x"]), rl("q", ["a"])], gt, k=10)
+
     def test_bad_k(self):
         with pytest.raises(InvalidParams):
             mar_at_k([], GroundTruth({"q": {"a"}}), k=0)
@@ -138,3 +143,16 @@ def test_ground_truth_round_trip(tmp_path):
 def test_ground_truth_empty_relevant_rejected():
     with pytest.raises(ValueError):
         GroundTruth({"q": set()})
+
+
+@pytest.mark.parametrize("text,line", [
+    ('{"query": "q0", "relevant": ["a"]}\n{"query": "q1", "rel', 2),
+    ('{"query": "q0", "relevant": ["a"]}\n\n{"query": "q1"}\n', 3),
+    ('["q0", ["a"]]\n', 1),
+    ('{"query": "q0", "relevant": ["a"]}\n{"query": "q0", "relevant": ["b"]}\n', 2),
+], ids=["truncated", "no-relevant", "not-an-object", "query-twice"])
+def test_malformed_ground_truth_names_its_line(tmp_path, text, line):
+    path = tmp_path / "gt.jsonl"
+    path.write_text(text)
+    with pytest.raises(MalformedFile, match=f" line {line}: "):
+        load_ground_truth(path)

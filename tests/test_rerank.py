@@ -307,7 +307,7 @@ class TestSharding:
 class TestShardFiles:
     def _lists(self, n=4):
         return [
-            RankingList(f"q{i}", ((f"g{i}", 0.1 * i), ("g9", 0.5)), k=10)
+            RankingList(f"q{i}", ((f"g{i}", 0.1 * i), ("g9", 0.5)))
             for i in range(n)
         ]
 
@@ -363,7 +363,7 @@ class TestMerge:
         manifest = ShardManifest(qids, n_shards)
         for shard in range(n_shards):
             lists = [
-                RankingList(qids[r], ((f"g{r}", float(r)),), k=10)
+                RankingList(qids[r], ((f"g{r}", float(r)),))
                 for r in manifest.shard_rows(shard)
             ]
             write_shard_result(lists, tmp_path / manifest.result_files[shard])
@@ -410,7 +410,7 @@ class TestMerge:
     def test_foreign_query_ids_are_stale(self, tmp_path):
         manifest, qids = self._job(tmp_path)
         foreign = [
-            RankingList(f"x{r}", (("g0", 0.0),), k=10) for r in manifest.shard_rows(1)
+            RankingList(f"x{r}", (("g0", 0.0),)) for r in manifest.shard_rows(1)
         ]
         write_shard_result(foreign, tmp_path / manifest.result_files[1])
         results, report = merge_shard_results(manifest, tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from oracles import naive_cosine_distance, naive_group_min, naive_topk
 from prodretrieve import search
 from prodretrieve.embed_store import EmbeddingSet, l2_normalize, row_norms
-from prodretrieve.errors import DimMismatch, NotNormalized, UnmappedCropId
+from prodretrieve.errors import DimMismatch, MalformedFile, NotNormalized, UnmappedCropId
 from prodretrieve.search import (
     MIN_CHUNK,
     NORM_SLICE,
@@ -152,7 +152,6 @@ class TestTopK:
         m = DistanceMatrix(("q",), ("a", "b"), np.array([[0.2, 0.1]], np.float32))
         lists = topk(m, 10)
         assert lists[0].gallery_ids == ("b", "a")
-        assert lists[0].k == 10
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(15)
@@ -302,10 +301,61 @@ class TestOnDiskFormats:
         assert back.gallery_ids == m.gallery_ids
         assert back.values.tobytes() == m.values.tobytes()
 
+    def test_matrix_ids_round_trip_without_pickle(self, tmp_path):
+        """Non-ASCII ids, ids of unequal lengths and an inner NUL come back
+        exactly, from arrays that load with allow_pickle=False."""
+        qids = ("q", "quéry-ünïcode", "查询", "q\0inner")
+        gids = ("g" * 40, "ガ", "g 2")
+        m = DistanceMatrix(qids, gids, np.arange(12, dtype=np.float32).reshape(4, 3))
+        path = tmp_path / "m.npz"
+        save_matrix(m, path)
+        with np.load(path, allow_pickle=False) as npz:
+            assert [npz[k].dtype.kind for k in ("query_ids", "gallery_ids")] == ["U", "U"]
+        back = load_matrix(path)
+        assert (back.query_ids, back.gallery_ids) == (qids, gids)
+        assert back.values.tobytes() == m.values.tobytes()
+
+    def test_matrix_id_ending_in_nul_refused(self, tmp_path):
+        """Fixed-width unicode would drop the NUL, so the id is not changed."""
+        m = DistanceMatrix(("q",), ("g\0",), np.zeros((1, 1), np.float32))
+        with pytest.raises(MalformedFile, match="NUL"):
+            save_matrix(m, tmp_path / "m.npz")
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("query_ids", [
+        np.array(["q0", "q1"], dtype=object),
+        np.array([["q0", "q1"]]),
+        np.array([0, 1]),
+        np.array([b"q0", b"q1"]),
+        None,
+    ], ids=["object", "2-d", "int", "bytes", "absent"])
+    def test_foreign_matrix_file_refused(self, tmp_path, query_ids):
+        """The earlier object-array format is refused like any foreign file."""
+        arrays = {"gallery_ids": np.array(["g0"]), "values": np.zeros((2, 1), np.float32)}
+        if query_ids is not None:
+            arrays["query_ids"] = query_ids
+        path = tmp_path / "m.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(MalformedFile):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"query": "q1", "ranks": [["g0", 0.5]], "orie',
+        '{"query": "q1"}',
+        '{"query": "q1", "ranks": [["g0", 0.5], ["g0", 0.6]]}',
+        '{"query": "q1", "ranks": [["g0"]]}',
+        '["q1", [["g0", 0.5]]]',
+    ], ids=["truncated", "no-ranks", "duplicate-id", "not-a-pair", "not-an-object"])
+    def test_malformed_ranking_line_names_file_and_line(self, tmp_path, text):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"query": "q0", "ranks": [["g0", 0.5]]}\n\n' + text + "\n")
+        with pytest.raises(MalformedFile, match=" line 3: "):
+            read_ranking_lists(path)
+
     def test_ranking_lists_round_trip(self, tmp_path):
         lists = [
-            RankingList("q0", (("g1", 0.25), ("g0", 0.5)), k=10),
-            RankingList("q1", (("g2", 0.0),), k=10),
+            RankingList("q0", (("g1", 0.25), ("g0", 0.5))),
+            RankingList("q1", (("g2", 0.0),)),
         ]
         path = tmp_path / "r.jsonl"
         write_ranking_lists(lists, path)

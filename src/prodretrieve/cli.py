@@ -8,13 +8,14 @@ manifest/config error. All randomness takes an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import embed_store, ensemble, evalbench, harness, pseudolabel, rerank, search
-from .errors import ManifestInvalid, ProdRetrieveError
-from .fileio import sha256_file, write_json
+from .errors import MalformedFile, ManifestInvalid, ProdRetrieveError
+from .fileio import read_json, sha256_file, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,9 +37,10 @@ def _status(outputs, **extra) -> None:
     print(json.dumps(line))
 
 
+@functools.cache  # `pipeline` parses every step's argv with the same parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="prodretrieve", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("normalize", help="l2-normalize an embedding file")
     p.add_argument("--in", dest="inp", required=True)
@@ -303,23 +305,11 @@ def cmd_eval(args) -> None:
     print(json.dumps(out))
 
 
+# subcommand -> handler: `crop-agg` runs cmd_crop_agg. `pipeline` runs the
+# others as its steps, so it is dispatched apart and is no step's op.
 HANDLERS = {
-    "normalize": cmd_normalize,
-    "fuse": cmd_fuse,
-    "search": cmd_search,
-    "crop-agg": cmd_crop_agg,
-    "rerank": cmd_rerank,
-    "shard": cmd_shard,
-    "worker": cmd_worker,
-    "coordinate": cmd_coordinate,
-    "merge": cmd_merge,
-    "max-ensemble": cmd_max_ensemble,
-    "vote-ensemble": cmd_vote_ensemble,
-    "cluster": cmd_cluster,
-    "filter-clusters": cmd_filter_clusters,
-    "assign-labels": cmd_assign_labels,
-    "gen-synth": cmd_gen_synth,
-    "eval": cmd_eval,
+    name[4:].replace("_", "-"): fn for name, fn in globals().items()
+    if name.startswith("cmd_") and name != "cmd_pipeline"
 }
 
 
@@ -356,20 +346,13 @@ class PipelineConfigError(ProdRetrieveError):
     pass
 
 
-def cmd_pipeline(args) -> None:
-    with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
-    base = args.workdir or config.get("workdir") or os.path.dirname(
-        os.path.abspath(args.config)
-    )
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.dirname(os.path.abspath(args.config)), base)
-    os.makedirs(base, exist_ok=True)
-
-    steps = config.get("steps", [])
+def _plan(args, config) -> tuple[str, list]:
+    """The base directory and each step's (name, argv, outputs)."""
+    here = os.path.dirname(os.path.abspath(args.config))  # a relative workdir's base
+    base = os.path.join(here, args.workdir or config.get("workdir") or "")
     plans = []
     produced = set()
-    for step in steps:
+    for step in config.get("steps", []):
         argv, inputs, outputs = _step_argv(step, base)
         for path in inputs:
             # a file under a directory produced earlier (e.g. a job dir's
@@ -385,12 +368,16 @@ def cmd_pipeline(args) -> None:
                 )
         produced.update(outputs)
         plans.append((step.get("name", argv[0]), argv, outputs))
+    return base, plans
 
+
+def cmd_pipeline(args) -> None:
+    base, plans = read_json(args.config, functools.partial(_plan, args), PipelineConfigError)
+    os.makedirs(base, exist_ok=True)
     state_path = os.path.join(base, ".pipeline_state.json")
     state = {}
     if args.resume and os.path.isfile(state_path):
-        with open(state_path, encoding="utf-8") as fh:
-            state = json.load(fh)
+        state = read_json(state_path, dict.copy, MalformedFile)  # refuses all but an object
 
     all_outputs = []
     for name, argv, outputs in plans:
@@ -420,9 +407,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         if args.command == "pipeline":
             cmd_pipeline(args)

@@ -15,7 +15,6 @@ EMB1 binary layout (all integers little-endian):
 """
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass, field
@@ -26,12 +25,13 @@ from .errors import (
     DuplicateId,
     IoFailure,
     MagicMismatch,
+    MalformedFile,
     MisalignedScales,
     NonFiniteValue,
     TruncatedFile,
     ZeroVector,
 )
-from .fileio import atomic_open, sha256_file, write_json
+from .fileio import atomic_open, read_json, sha256_file, write_json
 
 MAGIC = b"EMB1"
 HEADER = struct.Struct("<4sIII")
@@ -72,9 +72,6 @@ class EmbeddingSet:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def row(self, item_id: str) -> np.ndarray:
-        return self.vectors[self.ids.index(item_id)]
 
 
 @dataclass(frozen=True)
@@ -164,15 +161,15 @@ def make_sidecar(path, scale: str, model: str) -> dict:
 
 
 def load_from_sidecar(sidecar_path) -> tuple[str, EmbeddingSet]:
-    """Load (scale label, embeddings) via a sidecar, verifying the sha256."""
-    with open(sidecar_path, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    emb_path = sidecar["path"]
-    if not os.path.isabs(emb_path):
-        emb_path = os.path.join(os.path.dirname(os.path.abspath(sidecar_path)), emb_path)
-    if sha256_file(emb_path) != sidecar["sha256"]:
+    """Load (scale label, embeddings) via a sidecar, verifying the sha256;
+    a sidecar that is not a `make_sidecar` object raises MalformedFile."""
+    here = os.path.dirname(os.path.abspath(sidecar_path))  # a relative path's base
+    emb_path, digest, scale = read_json(sidecar_path, lambda obj: (
+        os.path.join(here, obj["path"]), obj["sha256"], obj.get("scale", "")
+    ), MalformedFile)
+    if sha256_file(emb_path) != digest:
         raise IoFailure(f"{emb_path}: sha256 mismatch against sidecar")
-    return sidecar.get("scale", ""), load_embeddings(emb_path)
+    return scale, load_embeddings(emb_path)
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:

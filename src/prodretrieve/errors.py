@@ -11,8 +11,7 @@ class ProdRetrieveError(Exception):
 
 
 class MalformedFile(ProdRetrieveError):
-    """A matrix, ranking-list or ground-truth file breaks its format, or an
-    id cannot be stored in one unchanged."""
+    """A data file breaks its format, or an id cannot be stored in one unchanged."""
 
 
 # --- embedding store ---
@@ -70,7 +69,7 @@ class InvalidParams(ProdRetrieveError):
 
 
 class CorruptShard(ProdRetrieveError):
-    """A shard result file is present but fails its checksum."""
+    """A shard file fails its sha256 trailer or holds a line that is no ranking list."""
 
 
 # --- ensembles ---

@@ -7,14 +7,13 @@ every ground-truth query either way.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embed_store import EmbeddingSet
 from .errors import DuplicateBallot, InvalidParams, MalformedFile, UnknownGalleryId
-from .fileio import atomic_open, compact_json
+from .fileio import atomic_open, compact_json, read_json_lines, string_list
 from .search import RankingList
 
 DEFAULT_K = 10
@@ -146,18 +145,17 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    """A line that is not a {"query", "relevant"} object, or that lists a
-    query again, raises MalformedFile naming the file and the line."""
+    """A line that is not a {"query": id, "relevant": [id, ...]} object, or
+    that lists a query again, raises MalformedFile naming file and line."""
     relevant = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if obj["query"] in relevant:
-                    raise ValueError(f"query {obj['query']!r} is listed twice")
-                relevant[obj["query"]] = set(obj["relevant"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MalformedFile(f"{path} line {lineno}: {exc!r}") from exc
+
+    def add(obj) -> None:
+        qid, rel = obj["query"], frozenset(string_list(obj["relevant"]))
+        if type(qid) is not str or not rel:
+            raise ValueError(f"query {qid!r:.60} needs a string id and relevant ids")
+        if qid in relevant:
+            raise ValueError(f"query {qid!r} is listed twice")
+        relevant[qid] = rel
+
+    read_json_lines(path, add, MalformedFile)
     return GroundTruth(relevant)

@@ -1,7 +1,8 @@
-"""Atomic file commits, streaming file hashes and compact JSON lines.
+"""Atomic file commits, sha256 digests, and JSON reading and writing.
 
 Every file the library writes goes through `atomic_open`, so a reader, or a
 crash at any point, sees the old file or the complete new one, never a prefix.
+Every JSON file it reads is parsed here too, by `read_json*` or `parse_json_lines`.
 """
 from __future__ import annotations
 
@@ -38,6 +39,12 @@ def _fsync_dir(path) -> None:
         os.close(fd)
 
 
+def sha256_hex(data: bytes) -> str:
+    """Hex sha256 of `data`."""
+    import hashlib  # on use: it loads OpenSSL, ~4 MB of RSS
+    return hashlib.sha256(data).hexdigest()
+
+
 def sha256_file(path) -> str:
     """Hex sha256 of a file, read in 1 MiB chunks."""
     import hashlib  # on use: it loads OpenSSL, ~4 MB of RSS
@@ -58,3 +65,40 @@ def write_json(path, obj) -> None:
     with atomic_open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def _parse(raw: bytes, parse, error, name):
+    try:
+        return parse(json.loads(raw.decode("utf-8")))
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise error(f"{name}: {type(exc).__name__}: {exc}") from exc
+
+
+def read_json(path, parse, error):
+    """`parse` of the JSON in the file at `path`. A file that is not UTF-8
+    JSON, or a value that `parse` refuses with a ValueError, LookupError,
+    TypeError or AttributeError, raises `error` naming the file."""
+    with open(path, "rb") as fh:
+        return _parse(fh.read(), parse, error, path)
+
+
+def parse_json_lines(data: bytes, parse, error, name) -> list:
+    """`parse` of each non-blank line of the JSON-lines bytes `data`, in
+    order, refused as in `read_json`; `error` names `name` and the line."""
+    return [
+        _parse(line, parse, error, f"{name} line {n}")
+        for n, line in enumerate(data.splitlines(), start=1) if line.strip()
+    ]
+
+
+def read_json_lines(path, parse, error) -> list:
+    """`parse_json_lines` of the file at `path`."""
+    with open(path, "rb") as fh:
+        return parse_json_lines(fh.read(), parse, error, path)
+
+
+def string_list(value) -> list:
+    """`value` if it is a JSON array of strings, else TypeError."""
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        raise TypeError(f"expected an array of strings, got {value!r:.60}")
+    return value

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import datetime
-import json
 import multiprocessing
 import os
 import time
@@ -31,7 +30,7 @@ from multiprocessing.connection import wait
 
 from .embed_store import load_embeddings
 from .errors import InvalidParams, ManifestInvalid, ShardsMissing
-from .fileio import write_json
+from .fileio import read_json, write_json
 from .rerank import (
     NeighbourIndex,
     RerankParams,
@@ -80,14 +79,14 @@ class JobManifest:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "JobManifest":
+        if obj.get("stage", "rerank") != "rerank":
+            raise ManifestInvalid(f"unknown stage {obj['stage']!r}")
+        params = obj["params"]
         try:
-            if obj.get("stage", "rerank") != "rerank":
-                raise ManifestInvalid(f"unknown stage {obj['stage']!r}")
-            params = obj["params"]
             return cls(
                 job_id=obj["job_id"],
-                query_path=obj["inputs"]["queries"],
-                gallery_path=obj["inputs"]["gallery"],
+                query_path=os.fspath(obj["inputs"]["queries"]),  # a path, or TypeError
+                gallery_path=os.fspath(obj["inputs"]["gallery"]),
                 params=RerankParams(
                     k1=params["k1"], k2=params["k2"], lam=params["lambda"]
                 ),
@@ -95,7 +94,7 @@ class JobManifest:
                 depth=obj.get("depth", 10),
                 created_at=obj.get("created_at", ""),
             )
-        except (AttributeError, KeyError, TypeError, InvalidParams) as exc:
+        except InvalidParams as exc:
             raise ManifestInvalid(f"bad manifest: {exc}") from exc
 
 
@@ -126,14 +125,10 @@ def create_job(
 
 
 def load_manifest(path) -> JobManifest:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ManifestInvalid(f"manifest not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestInvalid(f"manifest is not valid JSON: {exc}") from exc
-    manifest = JobManifest.from_dict(obj)
+    """A `create_job` manifest; anything else, or a gone input, is ManifestInvalid."""
+    if not os.path.isfile(path):
+        raise ManifestInvalid(f"manifest not found: {path}")
+    manifest = read_json(path, JobManifest.from_dict, ManifestInvalid)
     for path_ in (manifest.query_path, manifest.gallery_path):
         if not os.path.isfile(path_):
             raise ManifestInvalid(f"input file missing: {path_}")

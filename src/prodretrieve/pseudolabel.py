@@ -16,7 +16,7 @@ clusters do not depend on the tile shape, the BLAS kernel or its thread count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     PoolTooSmall,
     TargetBelowClusterCount,
 )
-from .fileio import atomic_open, compact_json
+from .fileio import atomic_open, compact_json, read_json, string_list
 from .search import NORM_TOL, _norm_deviation
 
 CONFIDENT_MAX_SIZE = 10  # kept clusters must be strictly smaller than this
@@ -256,20 +256,11 @@ def save_clusters(result: ClusterResult, path) -> None:
 
 
 def load_clusters(path) -> ClusterResult:
-    """Read a `save_clusters` file; a truncated or foreign file raises
-    MalformedClusters."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-            return ClusterResult(
-                clusters=tuple(tuple(c) for c in obj["clusters"]),
-                unclustered_pool=tuple(obj["pool"]),
-                similarity_threshold=obj["threshold"],
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedClusters(
-                f"{path} is not a cluster file: {type(exc).__name__}: {exc}"
-            ) from exc
+    """Read a `save_clusters` file; a truncated or foreign file, or ids that
+    are not arrays of strings, raise MalformedClusters."""
+    return read_json(path, lambda obj: ClusterResult(
+        [string_list(c) for c in obj["clusters"]], string_list(obj["pool"]), obj["threshold"]
+    ), MalformedClusters)
 
 
 def save_assignment(assignment: PseudoLabelAssignment, path) -> None:

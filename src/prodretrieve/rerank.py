@@ -44,7 +44,6 @@ a partial, corrupt, old-format or foreign shard is refused, never merged.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -53,7 +52,7 @@ import numpy as np
 
 from .embed_store import EmbeddingSet
 from .errors import CorruptShard, InvalidParams, TooFewItems
-from .fileio import atomic_open
+from .fileio import atomic_open, parse_json_lines, sha256_hex
 from .search import (
     QUERY_BLOCK,
     DistanceMatrix,
@@ -62,7 +61,7 @@ from .search import (
     _distance_block,
     _ranges,
     _smallest,
-    ranking_from_json,
+    parse_ranking,
     ranking_to_json,
 )
 
@@ -355,12 +354,14 @@ class MissingReport:
         }
 
 
+def _trailer(payload: bytes) -> bytes:
+    return b'{"sha256": "%s"}\n' % sha256_hex(payload).encode()
+
+
 def shard_result_bytes(lists) -> bytes:
     """Serialize ranking lists plus the trailing sha256 line."""
-    import hashlib  # on use: it loads OpenSSL, ~4 MB of RSS
     payload = "".join(ranking_to_json(rl) + "\n" for rl in lists).encode("utf-8")
-    trailer = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()}) + "\n"
-    return payload + trailer.encode("utf-8")
+    return payload + _trailer(payload)
 
 
 def write_shard_result(lists, path) -> None:
@@ -370,21 +371,14 @@ def write_shard_result(lists, path) -> None:
 
 
 def read_shard_result(data: bytes) -> list[RankingList]:
-    """Parse and sha256-verify one shard file's bytes; any other trailer,
-    such as the former FNV-1a {"checksum": ...}, raises CorruptShard."""
-    import hashlib  # on use: it loads OpenSSL, ~4 MB of RSS
-    text = data.decode("utf-8", errors="replace")
-    lines = text.splitlines(keepends=True)
-    if not lines:
-        raise CorruptShard("empty shard file")
-    payload = "".join(lines[:-1]).encode("utf-8")
-    try:
-        declared = json.loads(lines[-1])["sha256"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptShard(f"bad checksum trailer: {exc}") from exc
-    if hashlib.sha256(payload).hexdigest() != declared:
-        raise CorruptShard("checksum mismatch")
-    return [ranking_from_json(line) for line in lines[:-1] if line.strip()]
+    """Parse and sha256-verify one shard file's bytes. A last line other
+    than the one `shard_result_bytes` writes for the lines before it, such
+    as the former FNV-1a {"checksum": ...}, or a verified line that is not
+    a ranking list raises CorruptShard."""
+    payload = data[:data.rfind(b"\n", 0, -1) + 1]  # all lines but the last
+    if data[len(payload):] != _trailer(payload):
+        raise CorruptShard("last line is not the sha256 trailer of the lines before it")
+    return parse_json_lines(payload, parse_ranking, CorruptShard, "shard")
 
 
 def merge_shard_results(manifest: ShardManifest, job_dir):

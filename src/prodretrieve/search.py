@@ -16,16 +16,15 @@ following the chunk-bound pruning of Johnson, Douze and Jegou,
 """
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embed_store import EmbeddingSet, row_norms
 from .errors import DimMismatch, MalformedFile, NotNormalized, UnmappedCropId
-from .fileio import atomic_open, compact_json, write_json
+from .fileio import atomic_open, compact_json, read_json, read_json_lines, string_list, write_json
 
 NORM_TOL = 1e-4
 
@@ -318,11 +317,15 @@ def ranking_to_json(rl: RankingList) -> str:
     })
 
 
-def ranking_from_json(line: str) -> RankingList:
-    obj = json.loads(line)
+def parse_ranking(obj) -> RankingList:
+    """A `ranking_to_json` object as a RankingList, or TypeError."""
+    ranks = obj["ranks"]
+    pairs = {(type(g), type(s)) for g, s in ranks}
+    if type(obj["query"]) is not str or not pairs <= {(str, float), (str, int)}:
+        raise TypeError("a ranking list needs a string query and [id, score] ranks")
     return RankingList(
         query_id=obj["query"],
-        entries=obj["ranks"],  # made (id, float) pairs by RankingList
+        entries=ranks,  # made (id, float) pairs by RankingList
         orientation=obj.get("orientation", "distance"),
     )
 
@@ -336,15 +339,7 @@ def write_ranking_lists(lists, path) -> None:
 def read_ranking_lists(path) -> list[RankingList]:
     """Every list in a JSONL file; a line that is not one raises
     MalformedFile naming the file and the line."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    out.append(ranking_from_json(line))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise MalformedFile(f"{path} line {lineno}: {exc!r}") from exc
-    return out
+    return read_json_lines(path, parse_ranking, MalformedFile)
 
 
 def save_crop_map(crop_map: CropGroupMap, path) -> None:
@@ -358,13 +353,14 @@ def save_crop_map(crop_map: CropGroupMap, path) -> None:
     write_json(path, payload)
 
 
-def load_crop_map(path) -> CropGroupMap:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    crop_to_parent = {}
-    for parent, crops in obj["groups"].items():
-        for crop in crops:
-            if crop in crop_to_parent:
-                raise ValueError(f"crop id {crop!r} listed under two parents")
-            crop_to_parent[crop] = parent
+def _parse_crop_map(obj) -> CropGroupMap:
+    pairs = [(c, p) for p, crops in obj["groups"].items() for c in string_list(crops)]
+    crop_to_parent = dict(pairs)
+    if len(crop_to_parent) != len(pairs):
+        raise ValueError("a crop id is listed twice")
     return CropGroupMap(crop_to_parent=crop_to_parent, scheme=obj["scheme"])
+
+
+def load_crop_map(path) -> CropGroupMap:
+    """Read a `save_crop_map` file; anything else raises MalformedFile."""
+    return read_json(path, _parse_crop_map, MalformedFile)

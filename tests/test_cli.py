@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_borda
+from prodretrieve import cli
 from prodretrieve.cli import _step_argv, run
 from prodretrieve.embed_store import EmbeddingSet, load_embeddings, save_embeddings
 from prodretrieve.ensemble import max_ensemble, vote_ensemble
@@ -74,6 +75,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         '{"threshold": 0.8, "clusters": [["a", "b"]], "po',  # truncated
         '{"threshold": 0.8, "pool": ["c"]}',  # no "clusters" key
+        '{"threshold": 0.8, "clusters": [["a", "b"]], "pool": "cd"}',  # was the pool {c, d}
+        '{"threshold": 0.8, "clusters": ["ab"], "pool": []}',  # was the cluster (a, b)
+        '{"threshold": 0.8, "clusters": [["a", 1]], "pool": []}',  # an id that is no string
     ])
     def test_malformed_cluster_file_is_2(self, tmp_path, capsys, text):
         bad = tmp_path / "clusters.json"
@@ -83,6 +87,48 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("MalformedClusters: ")
         assert not (tmp_path / "kept.json").exists()
+
+    def test_cluster_pool_string_is_2_for_assign_labels(self, tmp_path, capsys):
+        """A pool given as one string was read as its characters."""
+        bad = tmp_path / "clusters.json"
+        bad.write_text('{"threshold": 0.8, "clusters": [["a", "b"]], "pool": "cd"}')
+        out = tmp_path / "labels.jsonl"
+        code = run(["assign-labels", "--clusters", str(bad), "--target", "2",
+                    "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert _one_line_error(capsys, f"MalformedClusters: {bad}: TypeError").out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,error", [
+        ("truncated", "JSONDecodeError"),
+        ("arity", "ValueError"),
+        ("crops-a-string", "TypeError"),
+    ])
+    def test_malformed_crop_map_is_2(self, tmp_path, capsys, edit, error):
+        matrix = tmp_path / "d.npz"
+        save_matrix(DistanceMatrix(("q",), ("c0", "c1"), np.zeros((1, 2), np.float32)), matrix)
+        crop_map = {"scheme": "custom", "groups": {"p": ["c0", "c1"]}}
+        if edit == "arity":
+            crop_map["scheme"] = "index5crop"
+        if edit == "crops-a-string":
+            crop_map["groups"]["p"] = "c0"
+        text = json.dumps(crop_map)
+        path = tmp_path / "map.json"
+        path.write_text(text[:-5] if edit == "truncated" else text)
+        out = tmp_path / "agg.npz"
+        code = run(["crop-agg", "--matrix", str(matrix), "--map", str(path), "--out", str(out)])
+        assert code == 2
+        assert _one_line_error(capsys, f"MalformedFile: {path}: {error}: ").out == ""
+        assert not out.exists()
+
+    def test_sidecar_without_path_is_2(self, synth, tmp_path, capsys):
+        sidecar = tmp_path / "s.json"
+        sidecar.write_text(json.dumps({"scale": "400", "model": "demo", "sha256": "00"}))
+        out = tmp_path / "fused.emb"
+        code = run(["fuse", "--sidecars", str(sidecar), "--out", str(out)])
+        assert code == 2
+        assert _one_line_error(capsys, f"MalformedFile: {sidecar}: KeyError: ").out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("error", ["TooFewItems", "NotNormalized", "DimMismatch"])
     def test_coordinate_data_error_is_2_before_fork(self, tmp_path, capfd, error):
@@ -177,19 +223,31 @@ class TestExitCodes:
         _one_line_error(capsys, f"MalformedFile: {evil} is not a distance-matrix file: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "vote-ensemble"])
-    def test_truncated_lists_file_is_2(self, synth, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,line,error", [
+        ("eval", None, "JSONDecodeError"),
+        ("vote-ensemble", None, "JSONDecodeError"),
+        ("eval", b'{"query":"q00000_001","ranks":[["g\xff",0.1]]}\n', "UnicodeDecodeError"),
+        ("vote-ensemble", b'{"query":"q00000_001","ranks":[["g\xff",0.1]]}\n',
+         "UnicodeDecodeError"),
+        # read as ids "a", "b" with scores 1.0 and 2.0
+        ("eval", b'{"query":"q00000_001","ranks":["a1","b2"]}\n', "TypeError"),
+        ("vote-ensemble", b'{"query":"q00000_001","ranks":["a1","b2"]}\n', "TypeError"),
+    ], ids=["eval", "vote-ensemble", "eval-not-utf8", "vote-ensemble-not-utf8",
+            "eval-ranks-not-pairs", "vote-ensemble-ranks-not-pairs"])
+    def test_truncated_lists_file_is_2(self, synth, tmp_path, capsys, command, line, error):
+        """The file cut 10 bytes short, or with a second line given."""
         lists = tmp_path / "l.jsonl"
         write_ranking_lists([
             RankingList("q00000_000", (("g00000_000", 0.1),)),
             RankingList("q00000_001", (("g00000_001", 0.1),)),
         ], lists)
-        lists.write_bytes(lists.read_bytes()[:-10])
+        data = lists.read_bytes()
+        lists.write_bytes(data[:-10] if line is None else data.splitlines(True)[0] + line)
         out = tmp_path / "voted.jsonl"
         rest = ["--gt", synth["gt"]] if command == "eval" else ["--out", str(out)]
         code = run([command, "--lists", str(lists), *rest])
         assert code == 2
-        captured = _one_line_error(capsys, f"MalformedFile: {lists} line 2: JSONDecodeError")
+        captured = _one_line_error(capsys, f"MalformedFile: {lists} line 2: {error}")
         assert captured.out == ""
         assert not out.exists()
 
@@ -203,6 +261,19 @@ class TestExitCodes:
         code = run(["eval", "--lists", str(lists), "--gt", synth["gt"]])
         assert code == 2
         assert _one_line_error(capsys, "DuplicateBallot: ").out == ""
+
+    @pytest.mark.parametrize("line", [
+        '{"query":"q","relevant":"ab"}',  # was the relevant set {"a", "b"}
+        '{"query":"q","relevant":[]}',
+    ], ids=["relevant-a-string", "relevant-empty"])
+    def test_malformed_ground_truth_is_2(self, tmp_path, capsys, line):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text('{"query":"p","relevant":["a"]}\n' + line + "\n")
+        lists = tmp_path / "l.jsonl"
+        write_ranking_lists([RankingList("q", (("a", 0.1), ("c", 0.2)))], lists)
+        code = run(["eval", "--lists", str(lists), "--gt", str(gt)])
+        assert code == 2
+        assert _one_line_error(capsys, f"MalformedFile: {gt} line 2: ").out == ""
 
     def test_ground_truth_listing_a_query_twice_is_2(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
@@ -444,6 +515,70 @@ class TestPipeline:
     def test_unknown_op_is_3(self, tmp_path, capsys):
         steps = [{"name": "bad", "op": "train-model"}]
         assert run(["pipeline", "--config", self._config(tmp_path, steps)]) == 3
+
+    @pytest.mark.parametrize("edit,error", [
+        ("truncated", "JSONDecodeError"),
+        ("an-array", "AttributeError"),
+        ("step-an-array", "AttributeError"),
+        ("workdir-a-number", "TypeError"),
+    ])
+    def test_malformed_config_is_3(self, tmp_path, capsys, edit, error):
+        cfg = self._config(tmp_path, [{"name": "n", "op": "normalize", "params": {}}])
+        with open(cfg) as fh:
+            obj = json.load(fh)
+        text = {
+            "truncated": json.dumps(obj)[:-7],
+            "an-array": json.dumps([obj]),
+            "step-an-array": json.dumps({**obj, "steps": [["normalize"]]}),
+            "workdir-a-number": json.dumps({**obj, "workdir": 5}),
+        }[edit]
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        assert run(["pipeline", "--config", cfg]) == 3
+        assert _one_line_error(capsys, f"PipelineConfigError: {cfg}: {error}: ").out == ""
+        assert not (tmp_path / "work").exists()
+
+    def test_truncated_state_on_resume_is_2(self, tmp_path, capsys):
+        steps = [{
+            "name": "gen", "op": "gen-synth",
+            "params": {"classes": 3, "gallery-per-class": 2,
+                       "queries-per-class": 1, "dim": 8, "noise": 0.1, "seed": 2},
+            "outputs": {"out-gallery": "g.emb", "out-queries": "q.emb",
+                        "out-gt": "gt.jsonl"},
+        }]
+        cfg = self._config(tmp_path, steps)
+        assert run(["pipeline", "--config", cfg]) == 0
+        capsys.readouterr()
+        state = tmp_path / "work" / ".pipeline_state.json"
+        state.write_text(state.read_text()[:-5])
+        assert run(["pipeline", "--config", cfg, "--resume"]) == 2
+        assert _one_line_error(capsys, f"MalformedFile: {state}: JSONDecodeError: ").out == ""
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        """Every step of a pipeline, and its resume, parses with one parser."""
+        built = []
+        real = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("prog") == "prodretrieve":
+                built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        steps = [
+            {"name": f"gen{i}", "op": "gen-synth",
+             "params": {"classes": 2, "gallery-per-class": 2, "queries-per-class": 1,
+                        "dim": 4, "noise": 0.1, "seed": i},
+             "outputs": {"out-gallery": f"g{i}.emb", "out-queries": f"q{i}.emb",
+                         "out-gt": f"gt{i}.jsonl"}}
+            for i in range(3)
+        ]
+        cfg = self._config(tmp_path, steps)
+        assert run(["pipeline", "--config", cfg]) == 0
+        assert run(["pipeline", "--config", cfg, "--resume"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
 
     def test_step_argv_bare_flag(self):
         """`true` is a bare flag; 1, though equal to True, is a value."""

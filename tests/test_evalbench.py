@@ -150,9 +150,15 @@ def test_ground_truth_empty_relevant_rejected():
     ('{"query": "q0", "relevant": ["a"]}\n\n{"query": "q1"}\n', 3),
     ('["q0", ["a"]]\n', 1),
     ('{"query": "q0", "relevant": ["a"]}\n{"query": "q0", "relevant": ["b"]}\n', 2),
-], ids=["truncated", "no-relevant", "not-an-object", "query-twice"])
+    ('{"query": "q0", "relevant": "ab"}\n', 1),
+    ('{"query": "q0", "relevant": ["a"]}\n{"query": "q1", "relevant": []}\n', 2),
+    ('{"query": "q0", "relevant": ["a", 1]}\n', 1),
+    ('{"query": 0, "relevant": ["a"]}\n', 1),
+    (b'{"query": "q0", "relevant": ["a"]}\n{"query": "q1", "relevant": ["\xff"]}\n', 2),
+], ids=["truncated", "no-relevant", "not-an-object", "query-twice", "relevant-a-string",
+        "relevant-empty", "relevant-id-a-number", "query-a-number", "not-utf8"])
 def test_malformed_ground_truth_names_its_line(tmp_path, text, line):
     path = tmp_path / "gt.jsonl"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(MalformedFile, match=f" line {line}: "):
         load_ground_truth(path)

@@ -1,11 +1,24 @@
 import hashlib
 import os
+import re
 import stat
 import threading
 
 import pytest
 
-from prodretrieve.fileio import atomic_open, sha256_file, write_json
+from prodretrieve.fileio import (
+    atomic_open,
+    read_json,
+    read_json_lines,
+    sha256_file,
+    sha256_hex,
+    string_list,
+    write_json,
+)
+
+
+class Refused(Exception):
+    pass
 
 
 def test_commit_replaces_file(tmp_path):
@@ -97,3 +110,41 @@ def test_write_json_format(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         '{\n  "a": [\n    1,\n    2\n  ],\n  "\\u00e9": "x"\n}\n'
     )
+
+
+def test_sha256_hex():
+    assert sha256_hex(b"abc") == hashlib.sha256(b"abc").hexdigest()
+
+
+def test_read_json_lines_skips_blank_lines_and_names_the_bad_one(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n  \n{"a": 2}\r\n{"b": 3}\n')
+    with pytest.raises(Refused, match=f"^{re.escape(str(path))} line 5: KeyError: 'a'$"):
+        read_json_lines(path, lambda obj: obj["a"], Refused)
+    path.write_bytes(b'{"a": 1}\n\n  \n{"a": 2}\r\n')
+    assert read_json_lines(path, lambda obj: obj["a"], Refused) == [1, 2]
+
+
+@pytest.mark.parametrize("data,error", [
+    (b'{"a": [1', "JSONDecodeError"),
+    (b'{"a": "\xff"}', "UnicodeDecodeError"),
+    (b'[1]', "TypeError"),
+    (b'{"a": "x"}', "ValueError"),
+])
+def test_read_json_refusals_name_the_file(tmp_path, data, error):
+    path = tmp_path / "x.json"
+    path.write_bytes(data)
+    with pytest.raises(Refused, match=f"^{re.escape(str(path))}: {error}: "):
+        read_json(path, lambda obj: int(obj["a"]), Refused)
+
+
+def test_read_json_leaves_other_errors_alone(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "absent.json", dict.copy, Refused)
+
+
+@pytest.mark.parametrize("value", ["ab", ["a", 1], ("a",), None, {"a": "b"}])
+def test_string_list_refuses_all_but_an_array_of_strings(value):
+    with pytest.raises(TypeError):
+        string_list(value)
+    assert string_list(["a", ""]) == ["a", ""]

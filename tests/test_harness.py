@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -105,12 +106,15 @@ class TestManifest:
         with pytest.raises(ManifestInvalid):
             load_manifest(path)
 
-    @pytest.mark.parametrize("edit", ["not-an-object", "shards-not-an-object"])
+    @pytest.mark.parametrize("edit", ["not-an-object", "shards-not-an-object", "input-a-list"])
     def test_non_object_manifest_refused(self, tmp_path, small_inputs, edit):
         job_dir = make_job(tmp_path, small_inputs, 2)
         path = job_dir / MANIFEST_NAME
         obj = json.loads(path.read_text())
-        obj = [] if edit == "not-an-object" else {**obj, "shards": []}
+        if edit == "input-a-list":  # was a TypeError traceback from the input check
+            obj["inputs"]["queries"] = [obj["inputs"]["queries"]]
+        else:
+            obj = [] if edit == "not-an-object" else {**obj, "shards": []}
         path.write_text(json.dumps(obj))
         with pytest.raises(ManifestInvalid):
             load_manifest(path)
@@ -407,6 +411,26 @@ class TestCoordinator:
         assert len(out.read_text().splitlines()) == 8
         # the worker's failed commit removes its temp file
         assert not list(job_dir.glob("*.tmp.*"))
+
+    def test_merge_reports_verified_line_that_is_no_list(self, tmp_path, small_inputs, capsys):
+        """A shard whose sha256 trailer holds over a line that is not a
+        ranking list is reported as "checksum"; the merge writes the rest."""
+        job_dir = make_job(tmp_path, small_inputs, 2)
+        for shard in ("0", "1"):
+            assert cli.run(["worker", "--manifest", str(job_dir / MANIFEST_NAME),
+                            "--shard", shard]) == 0
+        payload = b'{"not": "a ranking list"}\n'
+        trailer = json.dumps({"sha256": hashlib.sha256(payload).hexdigest()}) + "\n"
+        (job_dir / "shard_0.jsonl").write_bytes(payload + trailer.encode())
+        capsys.readouterr()
+        out, missing = tmp_path / "merged.jsonl", tmp_path / "missing.json"
+        code = cli.run(["merge", "--job-dir", str(job_dir), "--out", str(out),
+                        "--missing", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["n_missing"] == 8
+        assert json.loads(missing.read_text())["reasons"] == {"0": "checksum"}
+        assert len(out.read_text().splitlines()) == 8
 
     def test_index_built_once_in_coordinator(self, tmp_path, small_inputs, monkeypatch):
         """The coordinator builds the neighbour index; its forked workers

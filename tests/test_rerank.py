@@ -418,6 +418,21 @@ class TestMerge:
         assert sorted(report.missing_queries) == [qids[r] for r in manifest.shard_rows(1)]
         assert len(results) == len(qids) - len(manifest.shard_rows(1))
 
+    def test_verified_line_that_is_no_ranking_list_is_checksum(self, tmp_path):
+        """A sha256 trailer that holds over a line that is not a ranking list
+        does not make the line one: the shard is corrupt, and the merge goes on."""
+        manifest, qids = self._job(tmp_path)
+        payload = b'{"not": "a ranking list"}\n'
+        data = payload + (json.dumps({"sha256": hashlib.sha256(payload).hexdigest()})
+                          + "\n").encode()
+        with pytest.raises(CorruptShard, match="line 1: KeyError"):
+            read_shard_result(data)
+        (tmp_path / manifest.result_files[1]).write_bytes(data)
+        results, report = merge_shard_results(manifest, tmp_path)
+        assert report.reasons == {1: "checksum"}
+        assert sorted(report.missing_queries) == [qids[r] for r in manifest.shard_rows(1)]
+        assert len(results) == len(qids) - len(manifest.shard_rows(1))
+
     def test_directory_at_shard_path_is_unreadable(self, tmp_path):
         manifest, qids = self._job(tmp_path)
         path = tmp_path / manifest.result_files[1]

@@ -345,10 +345,19 @@ class TestOnDiskFormats:
         '{"query": "q1", "ranks": [["g0", 0.5], ["g0", 0.6]]}',
         '{"query": "q1", "ranks": [["g0"]]}',
         '["q1", [["g0", 0.5]]]',
-    ], ids=["truncated", "no-ranks", "duplicate-id", "not-a-pair", "not-an-object"])
+        '{"query": "q1", "ranks": ["a1", "b2"]}',
+        '{"query": "q1", "ranks": [["g0", "0.5"]]}',
+        '{"query": "q1", "ranks": [["g0", true]]}',
+        '{"query": "q1", "ranks": [[0, 0.5]]}',
+        '{"query": 1, "ranks": [["g0", 0.5]]}',
+        '{"query": "q\xff", "ranks": [["g0", 0.5]]}',
+    ], ids=["truncated", "no-ranks", "duplicate-id", "not-a-pair", "not-an-object",
+            "ranks-strings", "score-a-string", "score-a-bool", "id-a-number",
+            "query-a-number", "not-utf8"])
     def test_malformed_ranking_line_names_file_and_line(self, tmp_path, text):
         path = tmp_path / "r.jsonl"
-        path.write_text('{"query": "q0", "ranks": [["g0", 0.5]]}\n\n' + text + "\n")
+        line = text.encode("latin-1")  # "\xff" stays one byte that is not UTF-8
+        path.write_bytes(b'{"query": "q0", "ranks": [["g0", 0.5]]}\n\n' + line + b"\n")
         with pytest.raises(MalformedFile, match=" line 3: "):
             read_ranking_lists(path)
 

@@ -15,7 +15,7 @@ import sys
 
 from . import embed_store, ensemble, evalbench, harness, pseudolabel, rerank, search
 from .errors import MalformedFile, ManifestInvalid, ProdRetrieveError
-from .fileio import read_json, sha256_file, write_json
+from .fileio import compact_json, read_json, sha256_file, sha256_hex, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -236,7 +236,7 @@ def _write_merge_outputs(results, report, out, missing_path) -> None:
 
 
 def cmd_max_ensemble(args) -> None:
-    matrices = [search.load_matrix(p) for p in args.matrices]
+    matrices = (search.load_matrix(p) for p in args.matrices)  # loaded in turn
     search.save_matrix(ensemble.max_ensemble(matrices), args.out)
     _status([args.out])
 
@@ -244,7 +244,7 @@ def cmd_max_ensemble(args) -> None:
 def cmd_vote_ensemble(args) -> None:
     if args.k < 1:
         raise SystemExit(_usage(f"--k must be >= 1, got {args.k}"))
-    model_lists = [search.read_ranking_lists(p) for p in args.lists]
+    model_lists = (search.read_ranking_lists(p) for p in args.lists)  # read in turn
     fused = ensemble.vote_ensemble(model_lists, k=args.k)
     search.write_ranking_lists(fused, args.out)
     _status([args.out])
@@ -331,10 +331,7 @@ def _step_argv(step: dict, base: str) -> tuple[list, list, list]:
         for key, value in step.get(kind, {}).items():
             values = value if isinstance(value, list) else [value]
             if kind != "params":
-                values = [
-                    v if os.path.isabs(str(v)) else os.path.join(base, str(v))
-                    for v in values
-                ]
+                values = [os.path.join(base, str(v)) for v in values]  # an absolute v stays
                 (inputs if kind == "inputs" else outputs).extend(values)
             argv.append(f"--{key}")
             if not (len(values) == 1 and values[0] is True):  # not a bare flag
@@ -347,7 +344,7 @@ class PipelineConfigError(ProdRetrieveError):
 
 
 def _plan(args, config) -> tuple[str, list]:
-    """The base directory and each step's (name, argv, outputs)."""
+    """The base directory and each step's (name, argv, inputs, outputs)."""
     here = os.path.dirname(os.path.abspath(args.config))  # a relative workdir's base
     base = os.path.join(here, args.workdir or config.get("workdir") or "")
     plans = []
@@ -367,36 +364,42 @@ def _plan(args, config) -> tuple[str, list]:
                     "existing file nor an earlier step's output"
                 )
         produced.update(outputs)
-        plans.append((step.get("name", argv[0]), argv, outputs))
+        plans.append((step.get("name", argv[0]), argv, inputs, outputs))
     return base, plans
+
+
+def _step_key(previous: str, argv: list, paths: list) -> str:
+    """sha256 of the previous step's key, the argv and each declared file's
+    sha256 (null if no file), so a changed step changes every later key."""
+    digests = [sha256_file(p) if os.path.isfile(p) else None for p in paths]
+    return sha256_hex(compact_json([previous, argv, digests]).encode())
 
 
 def cmd_pipeline(args) -> None:
     base, plans = read_json(args.config, functools.partial(_plan, args), PipelineConfigError)
     os.makedirs(base, exist_ok=True)
     state_path = os.path.join(base, ".pipeline_state.json")
-    state = {}
+    stored = {}
     if args.resume and os.path.isfile(state_path):
-        state = read_json(state_path, dict.copy, MalformedFile)  # refuses all but an object
+        stored = read_json(state_path, dict.copy, MalformedFile)  # refuses all but an object
+    state, key = {}, ""  # step key -> step name, written anew: no earlier key lingers
 
-    all_outputs = []
-    for name, argv, outputs in plans:
-        if args.resume and outputs and all(
-            os.path.isfile(p) and state.get(p) == sha256_file(p) for p in outputs
-        ):
+    for name, argv, inputs, outputs in plans:
+        paths = inputs + outputs  # a step with a directory (shard) or no output (eval) runs
+        skippable = args.resume and outputs and all(map(os.path.isfile, paths))
+        if skippable and (new_key := _step_key(key, argv, paths)) in stored:
             print(json.dumps({"step": name, "skipped": True}))
-            all_outputs.extend(outputs)
-            continue
-        code = run(argv)
-        if code != EXIT_OK:
-            print(f"pipeline step {name!r} failed with exit {code}", file=sys.stderr)
-            raise SystemExit(code)
-        for path in outputs:
-            if os.path.isfile(path):
-                state[path] = sha256_file(path)
-        write_json(state_path, state)
-        all_outputs.extend(outputs)
-    _status(all_outputs, steps=len(plans))
+        else:
+            write_json(state_path, state)  # the steps done so far, should this one fail
+            code = run(argv)
+            if code != EXIT_OK:
+                print(f"pipeline step {name!r} failed with exit {code}", file=sys.stderr)
+                raise SystemExit(code)
+            new_key = _step_key(key, argv, paths)
+        key = new_key
+        state[key] = name
+    write_json(state_path, state)
+    _status([p for *_, outputs in plans for p in outputs], steps=len(plans))
 
 
 # --- entry ---
@@ -419,8 +422,8 @@ def run(argv=None) -> int:
         if isinstance(exc, (ManifestInvalid, PipelineConfigError)):
             return EXIT_CONFIG
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"FileNotFound: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing input, a directory where a file belongs, ...
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
 

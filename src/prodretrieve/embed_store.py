@@ -108,12 +108,9 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
         if len(raw) > 0xFFFF:
             raise IoFailure(f"id longer than 65535 bytes: {item_id[:32]}...")
         head += (struct.pack("<H", len(raw)), raw)
-    try:
-        with atomic_open(path, "wb") as fh:
-            fh.write(b"".join(head))
-            fh.write(emb.vectors.astype("<f4", copy=False).data)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with atomic_open(path, "wb") as fh:
+        fh.write(b"".join(head))
+        fh.write(emb.vectors.astype("<f4", copy=False).data)
 
 
 def load_embeddings(path) -> EmbeddingSet:

@@ -17,34 +17,35 @@ DEFAULT_K = 10
 
 def _row_minmax_similarity(values: np.ndarray) -> np.ndarray:
     """Per-row (max - v) / (max - min); constant rows map to all zeros."""
-    vals = values.astype(np.float64)
-    row_max = vals.max(axis=1, keepdims=True)
-    row_min = vals.min(axis=1, keepdims=True)
-    span = row_max - row_min
-    sim = np.zeros_like(vals)
-    np.divide(row_max - vals, span, out=sim, where=span > 0)
+    sim = values.astype(np.float64)
+    row_max = sim.max(axis=1, keepdims=True)
+    span = row_max - sim.min(axis=1, keepdims=True)
+    np.subtract(row_max, sim, out=sim)  # all zeros on a constant row
+    np.divide(sim, span, out=sim, where=span > 0)
     return sim
 
 
 def max_ensemble(matrices) -> DistanceMatrix:
-    """Elementwise maximum of per-query min-max-normalized similarities."""
-    matrices = list(matrices)
-    if not matrices:
+    """Elementwise maximum of per-query min-max-normalized similarities.
+
+    Each member is checked and folded in as it arrives, so given an iterator
+    that loads members in turn, the peak is one nq x ng float32 member plus
+    two float64 arrays of its shape (the running maximum and the member's
+    similarities), whatever the member count.
+    """
+    members = iter(matrices)
+    first = next(members, None)
+    if first is None:
         raise ShapeMismatch("need at least one matrix")
-    first = matrices[0]
-    for m in matrices[1:]:
-        if m.values.shape != first.values.shape:
-            raise ShapeMismatch(
-                f"member shape {m.values.shape} != {first.values.shape}"
-            )
-        if m.query_ids != first.query_ids or m.gallery_ids != first.gallery_ids:
+    ids, best = (first.query_ids, first.gallery_ids), _row_minmax_similarity(first.values)
+    del first  # a member is released once folded in
+    for m in members:
+        if m.values.shape != best.shape:
+            raise ShapeMismatch(f"member shape {m.values.shape} != {best.shape}")
+        if (m.query_ids, m.gallery_ids) != ids:
             raise IdMismatch("ensemble members disagree on query/gallery ids")
-    best = _row_minmax_similarity(first.values)
-    for m in matrices[1:]:
         np.maximum(best, _row_minmax_similarity(m.values), out=best)
-    return DistanceMatrix(
-        first.query_ids, first.gallery_ids, (1.0 - best).astype(np.float32)
-    )
+    return DistanceMatrix(*ids, np.subtract(1.0, best, out=best).astype(np.float32))
 
 
 def vote_ensemble(model_lists, k: int = DEFAULT_K) -> list[RankingList]:
@@ -53,36 +54,31 @@ def vote_ensemble(model_lists, k: int = DEFAULT_K) -> list[RankingList]:
     Rank r (1-based, r <= k) earns k+1-r points. Items are ordered by
     descending points, then descending number of models that ranked the
     item, then ascending gallery id. Absent queries are tolerated: a
-    missing ballot simply contributes no points.
+    missing ballot simply contributes no points. Each model's lists are
+    tallied as they are read, so an iterator that reads models in turn
+    holds one model's lists plus the per-query tallies.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ballots: list[dict[str, RankingList]] = []
-    for lists in model_lists:
-        per_query: dict[str, RankingList] = {}
+    tallies: dict[str, dict[str, tuple[float, int]]] = {}  # query -> id -> (points, voters)
+    n_models = 0
+    for n_models, lists in enumerate(model_lists, start=1):
+        seen = set()
         for rl in lists:
-            if rl.query_id in per_query:
-                raise DuplicateBallot(
-                    f"model submitted two lists for query {rl.query_id!r}"
-                )
-            per_query[rl.query_id] = rl
-        ballots.append(per_query)
-    if not ballots:
+            if rl.query_id in seen:
+                raise DuplicateBallot(f"model submitted two lists for query {rl.query_id!r}")
+            seen.add(rl.query_id)
+            tally = tallies.setdefault(rl.query_id, {})
+            for r, (gid, _) in enumerate(rl.entries[:k], start=1):
+                points, voters = tally.get(gid, (0.0, 0))
+                tally[gid] = (points + (k + 1 - r), voters + 1)
+    if not n_models:
         raise ValueError("need at least one model")
 
-    query_ids = sorted({q for per_query in ballots for q in per_query})
     results = []
-    for qid in query_ids:
-        points: dict[str, float] = {}
-        voters: dict[str, int] = {}
-        for per_query in ballots:
-            rl = per_query.get(qid)
-            if rl is None:
-                continue
-            for r, (gid, _) in enumerate(rl.entries[:k], start=1):
-                points[gid] = points.get(gid, 0.0) + (k + 1 - r)
-                voters[gid] = voters.get(gid, 0) + 1
-        ordered = sorted(points, key=lambda g: (-points[g], -voters[g], g))[:k]
-        entries = tuple((g, points[g]) for g in ordered)
+    for qid in sorted(tallies):
+        tally = tallies[qid]
+        ordered = sorted(tally, key=lambda g: (-tally[g][0], -tally[g][1], g))[:k]
+        entries = tuple((g, tally[g][0]) for g in ordered)
         results.append(RankingList(qid, entries, orientation="similarity"))
     return results

@@ -33,7 +33,7 @@ class NonFiniteValue(ProdRetrieveError):
 
 
 class IoFailure(ProdRetrieveError):
-    """Underlying filesystem write failed."""
+    """An id too long for EMB1, or an embedding file that fails its sidecar sha256."""
 
 
 class ZeroVector(ProdRetrieveError):

@@ -67,9 +67,17 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# built once: json.loads with parse_constant builds a decoder per call
+_decode = json.JSONDecoder(parse_constant=_refuse_constant).decode
+
+
 def _parse(raw: bytes, parse, error, name):
     try:
-        return parse(json.loads(raw.decode("utf-8")))
+        return parse(_decode(raw.decode("utf-8")))
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise error(f"{name}: {type(exc).__name__}: {exc}") from exc
 

@@ -21,7 +21,6 @@ itself with the same function, so its shard file has the same bytes.
 from __future__ import annotations
 
 import contextlib
-import datetime
 import multiprocessing
 import os
 import time
@@ -50,21 +49,18 @@ MANIFEST_NAME = "manifest.json"
 class JobManifest:
     """One sharded re-ranking job rooted at a shared directory."""
 
-    job_id: str
     query_path: str
     gallery_path: str
     params: RerankParams
     shards: ShardManifest
     depth: int = 10  # top-k depth of the ranking lists workers emit
-    created_at: str = ""
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ManifestInvalid("depth must be >= 1")
+        if type(self.depth) is not int or self.depth < 1:
+            raise ManifestInvalid(f"depth must be an integer >= 1, got {self.depth!r}")
 
     def to_dict(self) -> dict:
         return {
-            "job_id": self.job_id,
             "stage": "rerank",  # the only stage a job runs
             "inputs": {"queries": self.query_path, "gallery": self.gallery_path},
             "params": {
@@ -74,7 +70,6 @@ class JobManifest:
             },
             "depth": self.depth,
             "shards": self.shards.to_dict(),
-            "created_at": self.created_at,
         }
 
     @classmethod
@@ -84,7 +79,6 @@ class JobManifest:
         params = obj["params"]
         try:
             return cls(
-                job_id=obj["job_id"],
                 query_path=os.fspath(obj["inputs"]["queries"]),  # a path, or TypeError
                 gallery_path=os.fspath(obj["inputs"]["gallery"]),
                 params=RerankParams(
@@ -92,7 +86,6 @@ class JobManifest:
                 ),
                 shards=ShardManifest.from_dict(obj["shards"]),
                 depth=obj.get("depth", 10),
-                created_at=obj.get("created_at", ""),
             )
         except InvalidParams as exc:
             raise ManifestInvalid(f"bad manifest: {exc}") from exc
@@ -111,13 +104,11 @@ def create_job(
         if not os.path.isfile(path):
             raise ManifestInvalid(f"input file missing: {path}")
     manifest = JobManifest(
-        job_id=os.path.basename(os.path.normpath(job_dir)) or "job",
         query_path=os.path.abspath(query_path),
         gallery_path=os.path.abspath(gallery_path),
         params=params,
         shards=ShardManifest(load_embeddings(query_path).ids, n_shards),
         depth=depth,
-        created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
     os.makedirs(job_dir, exist_ok=True)
     write_json(os.path.join(job_dir, MANIFEST_NAME), manifest.to_dict())

@@ -48,6 +48,9 @@ class ClusterResult:
             self, "clusters", tuple(tuple(c) for c in self.clusters)
         )
         object.__setattr__(self, "unclustered_pool", tuple(self.unclustered_pool))
+        t = self.similarity_threshold
+        if not isinstance(t, float) or not 0.0 < t < 1.0:
+            raise ValueError(f"threshold must be a number in (0,1), got {t!r:.60}")
         seen = set()
         for cluster in self.clusters:
             if len(cluster) < 2:
@@ -256,8 +259,8 @@ def save_clusters(result: ClusterResult, path) -> None:
 
 
 def load_clusters(path) -> ClusterResult:
-    """Read a `save_clusters` file; a truncated or foreign file, or ids that
-    are not arrays of strings, raise MalformedClusters."""
+    """Read a `save_clusters` file; a truncated or foreign file, ids that are
+    not arrays of strings, or a threshold outside (0,1) raise MalformedClusters."""
     return read_json(path, lambda obj: ClusterResult(
         [string_list(c) for c in obj["clusters"]], string_list(obj["pool"]), obj["threshold"]
     ), MalformedClusters)

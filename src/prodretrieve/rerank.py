@@ -77,10 +77,11 @@ class RerankParams:
     lam: float = 0.3
 
     def __post_init__(self):
-        if not (1 <= self.k2 <= self.k1):
-            raise InvalidParams(f"need 1 <= k2 <= k1, got k1={self.k1} k2={self.k2}")
-        if not (0.0 <= self.lam <= 1.0):
-            raise InvalidParams(f"lambda must be in [0,1], got {self.lam}")
+        # `type(v) is int` refuses a JSON true, which would count as 1
+        if not (type(self.k1) is type(self.k2) is int and 1 <= self.k2 <= self.k1):
+            raise InvalidParams(f"need integers 1 <= k2 <= k1, got k1={self.k1!r} k2={self.k2!r}")
+        if type(self.lam) not in (int, float) or not 0.0 <= self.lam <= 1.0:
+            raise InvalidParams(f"lambda must be a number in [0,1], got {self.lam!r}")
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -290,8 +291,8 @@ class ShardManifest:
     n_shards: int
 
     def __post_init__(self):
-        if self.n_shards < 1:
-            raise InvalidParams("n_shards must be >= 1")
+        if type(self.n_shards) is not int or self.n_shards < 1:
+            raise InvalidParams(f"n_shards must be an integer >= 1, got {self.n_shards!r}")
         object.__setattr__(self, "query_ids", tuple(self.query_ids))
 
     @property

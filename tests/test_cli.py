@@ -10,10 +10,48 @@ from prodretrieve.cli import _step_argv, run
 from prodretrieve.embed_store import EmbeddingSet, load_embeddings, save_embeddings
 from prodretrieve.ensemble import max_ensemble, vote_ensemble
 from prodretrieve.evalbench import gen_synthetic, save_ground_truth
+from prodretrieve.fileio import sha256_file
 from prodretrieve.search import (
     DistanceMatrix, RankingList, load_matrix, read_ranking_lists, save_matrix, topk,
     write_ranking_lists,
 )
+
+
+PAPER_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "paper_pipeline.json")
+
+# what an unchanged `--resume` of the paper config skips: every step whose
+# outputs are files; the `shard` steps (a directory) and `eval` (none) re-run
+PAPER_SKIPPED = [
+    "gen-scale-400", "gen-scale-512", "gen-scale-600", "normalize-queries",
+    "fuse-gallery", "fuse-queries", "search-fused", "rerank-fused",
+    "rerank-s400", "rerank-s512", "rerank-s600", "vote-scales",
+]
+
+
+def paper_config(path, step=None, param=None, value=None) -> str:
+    """The paper config written to `path`, with `param` of `step` set to `value`."""
+    with open(PAPER_CONFIG) as fh:
+        config = json.load(fh)
+    if step is not None:
+        next(s for s in config["steps"] if s["name"] == step)["params"][param] = value
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def workdir_files(work) -> dict:
+    """Each file under `work` but the pipeline state, by relative path, with
+    the workdir's own path in JSON files blanked and no wall times."""
+    files = {}
+    for path in sorted(work.rglob("*")):
+        if not path.is_file() or path.name == ".pipeline_state.json":
+            continue
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            obj = json.loads(data.replace(str(work).encode(), b"<work>"))
+            obj.pop("wall_s", None)
+            data = obj
+        files[str(path.relative_to(work))] = data
+    return files
 
 
 def ok_line(capsys):
@@ -78,6 +116,9 @@ class TestExitCodes:
         '{"threshold": 0.8, "clusters": [["a", "b"]], "pool": "cd"}',  # was the pool {c, d}
         '{"threshold": 0.8, "clusters": ["ab"], "pool": []}',  # was the cluster (a, b)
         '{"threshold": 0.8, "clusters": [["a", 1]], "pool": []}',  # an id that is no string
+        '{"threshold": "x", "clusters": [], "pool": []}',  # was written back as "x"
+        '{"threshold": 7, "clusters": [], "pool": []}',  # outside (0,1), written back
+        '{"threshold": true, "clusters": [], "pool": []}',
     ])
     def test_malformed_cluster_file_is_2(self, tmp_path, capsys, text):
         bad = tmp_path / "clusters.json"
@@ -129,6 +170,23 @@ class TestExitCodes:
         assert code == 2
         assert _one_line_error(capsys, f"MalformedFile: {sidecar}: KeyError: ").out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "fuse"])
+    def test_directory_as_input_file_is_2(self, synth, tmp_path, capsys, command):
+        """An input path that names a directory ended in an IsADirectoryError
+        traceback with exit 1."""
+        if command == "eval":
+            path = tmp_path
+            argv = ["eval", "--lists", str(path), "--gt", synth["gt"]]
+        else:
+            sidecar = tmp_path / "s.json"  # "" names the sidecar's own directory
+            sidecar.write_text(json.dumps({"path": "", "sha256": "00"}))
+            path = os.path.dirname(sidecar)
+            argv = ["fuse", "--sidecars", str(sidecar), "--out", str(tmp_path / "f.emb")]
+        assert run(argv) == 2
+        captured = _one_line_error(capsys, "IsADirectoryError: ")
+        assert str(path) in captured.err and captured.out == ""
+        assert not (tmp_path / "f.emb").exists()
 
     @pytest.mark.parametrize("error", ["TooFewItems", "NotNormalized", "DimMismatch"])
     def test_coordinate_data_error_is_2_before_fork(self, tmp_path, capfd, error):
@@ -232,8 +290,13 @@ class TestExitCodes:
         # read as ids "a", "b" with scores 1.0 and 2.0
         ("eval", b'{"query":"q00000_001","ranks":["a1","b2"]}\n', "TypeError"),
         ("vote-ensemble", b'{"query":"q00000_001","ranks":["a1","b2"]}\n', "TypeError"),
+        # json.loads reads NaN as a float, and the vote went through
+        ("eval", b'{"query":"q00000_001","ranks":[["a",NaN],["b",0.1]]}\n', "ValueError"),
+        ("vote-ensemble", b'{"query":"q00000_001","ranks":[["a",NaN],["b",0.1]]}\n',
+         "ValueError"),
     ], ids=["eval", "vote-ensemble", "eval-not-utf8", "vote-ensemble-not-utf8",
-            "eval-ranks-not-pairs", "vote-ensemble-ranks-not-pairs"])
+            "eval-ranks-not-pairs", "vote-ensemble-ranks-not-pairs",
+            "eval-nan", "vote-ensemble-nan"])
     def test_truncated_lists_file_is_2(self, synth, tmp_path, capsys, command, line, error):
         """The file cut 10 bytes short, or with a second line given."""
         lists = tmp_path / "l.jsonl"
@@ -628,6 +691,83 @@ class TestPipeline:
         a = load_matrix(work / "rr.npz")
         b = load_matrix(manual / "rr.npz")
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_unchanged_resume_of_paper_config(self, tmp_path, capsys):
+        """An unchanged resume skips every step with file outputs, and each
+        `shard` step, which runs again, writes the same manifest bytes."""
+        cfg, work = paper_config(tmp_path / "paper.json"), tmp_path / "work"
+        assert run(["pipeline", "--config", cfg, "--workdir", str(work)]) == 0
+        manifests = {p: p.read_bytes() for p in work.glob("job_*/manifest.json")}
+        before = workdir_files(work)
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg, "--workdir", str(work), "--resume"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [line["step"] for line in lines if line.get("skipped")] == PAPER_SKIPPED
+        assert len(manifests) == 4
+        assert {p: p.read_bytes() for p in manifests} == manifests
+        assert workdir_files(work) == before
+
+    @pytest.mark.parametrize("step,param,value", [
+        ("shard-fused", "k1", 8),  # rerank-fused was skipped, its k1 = 20 lists kept
+        ("gen-scale-400", "noise", 0.3),  # every file step was skipped, this one too
+    ], ids=["k1", "noise"])
+    def test_resume_after_edit_equals_fresh_run(self, tmp_path, capsys, step, param, value):
+        """The `noise` edit reaches `coordinate` only through EMB files its
+        manifest names, which no step declares; the key chain re-runs it."""
+        resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+        cfg = paper_config(tmp_path / "paper.json")
+        assert run(["pipeline", "--config", cfg, "--workdir", str(resumed)]) == 0
+        edited = paper_config(tmp_path / "edited.json", step, param, value)
+        assert run(["pipeline", "--config", edited, "--workdir", str(resumed), "--resume"]) == 0
+        assert run(["pipeline", "--config", edited, "--workdir", str(fresh)]) == 0
+        capsys.readouterr()
+        assert workdir_files(resumed) == workdir_files(fresh)
+
+    def test_earlier_state_file_runs_every_step_once(self, tmp_path, capsys):
+        """A state file of output path -> sha256, the format before steps were
+        keyed, runs every step and is replaced by one key per step. The two
+        unnamed `normalize` steps share a name, and each is skipped after."""
+        steps = [
+            {"name": "gen", "op": "gen-synth",
+             "params": {"classes": 3, "gallery-per-class": 2, "queries-per-class": 1,
+                        "dim": 8, "noise": 0.1, "seed": 2},
+             "outputs": {"out-gallery": "g.emb", "out-queries": "q.emb", "out-gt": "gt.jsonl"}},
+            {"op": "normalize", "inputs": {"in": "q.emb"}, "outputs": {"out": "qn.emb"}},
+            {"op": "normalize", "inputs": {"in": "g.emb"}, "outputs": {"out": "gn.emb"}},
+        ]
+        cfg = self._config(tmp_path, steps)
+        assert run(["pipeline", "--config", cfg]) == 0
+        work = tmp_path / "work"
+        state = work / ".pipeline_state.json"
+        state.write_text(json.dumps({
+            str(work / name): sha256_file(work / name)
+            for name in ("g.emb", "q.emb", "gt.jsonl", "qn.emb", "gn.emb")
+        }))
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert '"skipped"' not in capsys.readouterr().out
+        keys = json.loads(state.read_text())  # step key -> step name
+        assert sorted(keys.values()) == ["gen", "normalize", "normalize"]
+        assert all(len(key) == 64 for key in keys)
+        assert run(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert capsys.readouterr().out.count('"skipped": true') == 3
+
+    def test_resume_after_failed_step_skips_the_steps_before_it(self, tmp_path, capsys):
+        steps = [
+            {"name": "gen", "op": "gen-synth",
+             "params": {"classes": 3, "gallery-per-class": 2, "queries-per-class": 1,
+                        "dim": 8, "noise": 0.1, "seed": 2},
+             "outputs": {"out-gallery": "g.emb", "out-queries": "q.emb", "out-gt": "gt.jsonl"}},
+            {"name": "bad", "op": "normalize",  # ground truth is no EMB1 file
+             "inputs": {"in": "gt.jsonl"}, "outputs": {"out": "x.emb"}},
+        ]
+        cfg = self._config(tmp_path, steps)
+        assert run(["pipeline", "--config", cfg]) == 2
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == '{"step": "gen", "skipped": true}\n'
+        assert "pipeline step 'bad' failed with exit 2" in captured.err
 
     def test_resume_skips_and_preserves_outputs(self, tmp_path, capsys):
         steps = [{

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,29 @@ class TestMaxEnsemble:
         np.testing.assert_array_equal(
             max_ensemble([a]).values, max_ensemble([a, flat]).values
         )
+
+    def test_peak_memory_independent_of_member_count(self):
+        """Members folded in as an iterator yields them: the peak is one
+        float32 member plus two float64 arrays of its shape (5x its bytes),
+        at 5 members as at 20. Holding every member took 13x at 5."""
+        qids = tuple(f"q{i}" for i in range(100))
+        gids = tuple(f"g{j}" for j in range(4000))
+
+        def traced_peak(n):
+            members = (
+                matrix(np.random.default_rng(s).random((100, 4000), np.float32), qids, gids)
+                for s in range(n)
+            )
+            tracemalloc.start()
+            try:
+                max_ensemble(members)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak5, peak20 = traced_peak(5), traced_peak(20)
+        assert peak20 <= 1.05 * peak5
+        assert peak5 < 6 * 100 * 4000 * 4
 
     def test_shape_and_id_mismatch(self):
         a = matrix(np.zeros((2, 3)))

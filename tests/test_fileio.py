@@ -138,6 +138,16 @@ def test_read_json_refusals_name_the_file(tmp_path, data, error):
         read_json(path, lambda obj: int(obj["a"]), Refused)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_refused(tmp_path, constant):
+    """json.loads reads these as floats; no reader takes them."""
+    path = tmp_path / "x.jsonl"
+    path.write_text(f"[1.5]\n[{constant}]\n")
+    message = f"^{re.escape(str(path))} line 2: ValueError: {constant} is not a JSON number$"
+    with pytest.raises(Refused, match=message):
+        read_json_lines(path, list, Refused)
+
+
 def test_read_json_leaves_other_errors_alone(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_json(tmp_path / "absent.json", dict.copy, Refused)

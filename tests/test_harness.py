@@ -120,14 +120,54 @@ class TestManifest:
             load_manifest(path)
 
     def test_earlier_format_loads_and_round_trips(self, tmp_path, small_inputs):
-        """A manifest.json as `shard` wrote it before the shard block's
-        n_queries and result_files were derived loads, and is written back
-        as the same dict."""
+        """A manifest.json as `shard` wrote it when it still stamped a job id
+        and a creation time loads, and is written back as the same dict
+        without those two keys."""
         qpath, gpath = small_inputs
         text = EARLIER_MANIFEST % (json.dumps(qpath), json.dumps(gpath))
         path = tmp_path / MANIFEST_NAME
         path.write_text(text)
-        assert load_manifest(path).to_dict() == json.loads(text)
+        expected = json.loads(text)
+        del expected["job_id"], expected["created_at"]
+        assert load_manifest(path).to_dict() == expected
+        out = tmp_path / "merged.jsonl"
+        assert cli.run(["coordinate", "--manifest", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_same_inputs_same_manifest_bytes(self, tmp_path, small_inputs):
+        """A manifest is a function of its inputs: no job name, no time stamp."""
+        qpath, gpath = small_inputs
+        written = []
+        for job_dir in (tmp_path / "a", tmp_path / "b", tmp_path / "a"):
+            create_job(str(job_dir), qpath, gpath, RerankParams(k1=6, k2=2, lam=0.3),
+                       n_shards=3, depth=5)
+            written.append((job_dir / MANIFEST_NAME).read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert not {"job_id", "created_at"} & set(json.loads(written[0]))
+
+    @pytest.mark.parametrize("key,value", [
+        ("depth", 2.5),  # every forked worker died of a TypeError; "ok": true, exit 0
+        ("depth", True),  # ran as depth 1
+        ("k1", 5.5),  # a TypeError traceback, exit 1
+        ("k2", True),
+        ("lambda", True),
+        ("n_shards", True),
+    ])
+    def test_number_of_wrong_type_is_3_before_fork(self, tmp_path, small_inputs, capfd,
+                                                   key, value):
+        job_dir = make_job(tmp_path, small_inputs, 1)
+        path = job_dir / MANIFEST_NAME
+        obj = json.loads(path.read_text())
+        {"depth": obj, "n_shards": obj["shards"]}.get(key, obj["params"])[key] = value
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "merged.jsonl"
+        assert cli.run(["coordinate", "--manifest", str(path), "--out", str(out)]) == 3
+        captured = capfd.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ManifestInvalid: "), err
+        assert captured.out == ""
+        assert sorted(os.listdir(job_dir)) == [MANIFEST_NAME]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["worker", "coordinate", "merge"])
     @pytest.mark.parametrize("edit", ["short-result-files", "path-outside-job", "no-query-ids"])

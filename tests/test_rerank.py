@@ -66,7 +66,10 @@ class TestParams:
         p = RerankParams()
         assert (p.k1, p.k2, p.lam) == (20, 6, 0.3)
 
-    @pytest.mark.parametrize("k1,k2,lam", [(5, 6, 0.3), (5, 0, 0.3), (5, 2, 1.5), (5, 2, -0.1)])
+    @pytest.mark.parametrize("k1,k2,lam", [
+        (5, 6, 0.3), (5, 0, 0.3), (5, 2, 1.5), (5, 2, -0.1),
+        (5.0, 2, 0.3), (5, True, 0.3), (5, 2, "0.3"), (5, 2, True),
+    ])
     def test_invalid(self, k1, k2, lam):
         with pytest.raises(InvalidParams):
             RerankParams(k1=k1, k2=k2, lam=lam)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .embed_store import EmbeddingSet
 from .errors import (
+    InvalidParams,
     MalformedClusters,
     NotNormalized,
     PoolTooSmall,
@@ -161,7 +162,7 @@ def cluster_features(emb: EmbeddingSet, threshold: float) -> ClusterResult:
     members ascending); singletons go to the pool.
     """
     if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+        raise InvalidParams(f"threshold must be in (0,1), got {threshold}")
     n = len(emb)
     if _norm_deviation(emb.vectors) > NORM_TOL:
         raise NotNormalized("cluster_features requires unit-norm rows")

@@ -140,6 +140,14 @@ class TestExitCodes:
         assert _one_line_error(capsys, f"MalformedClusters: {bad}: TypeError").out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("threshold", ["1.5", "nan", "0"])
+    def test_cluster_threshold_outside_unit_interval_is_2(self, synth, tmp_path, capsys, threshold):
+        out = tmp_path / "clusters.json"
+        code = run(["cluster", "--in", synth["gallery"], "--threshold", threshold, "--out", str(out)])
+        assert code == 2
+        assert _one_line_error(capsys, "InvalidParams: threshold must be in (0,1)").out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit,error", [
         ("truncated", "JSONDecodeError"),
         ("arity", "ValueError"),

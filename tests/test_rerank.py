@@ -1,17 +1,19 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from oracles import naive_rerank
-from prodretrieve import search
+from prodretrieve import rerank, search
 from prodretrieve.embed_store import EmbeddingSet, l2_normalize
 from prodretrieve.evalbench import gen_synthetic
 from prodretrieve.errors import CorruptShard, InvalidParams, TooFewItems
 from prodretrieve.rerank import (
     MissingReport,
+    NeighbourIndex,
     RerankParams,
     ShardManifest,
     build_neighbours,
@@ -175,17 +177,18 @@ class TestKReciprocal:
 
     def test_memory_stays_far_below_dense(self):
         """4,000 joint items: six dense n x n arrays would take 48 n^2 bytes,
-        about 770 MB; the sparse form holds O(QUERY_BLOCK n + n k1^2 +
-        k2 nnz(V)) bytes besides its output and must peak under 100 MB."""
+        about 770 MB. The re-rank holds the index and its nq x ng float32
+        output; nothing else it holds comes to a quarter of the index."""
         gallery, queries, _ = gen_synthetic(400, 8, 2, 64, 0.35, seed=7)
         assert len(queries) + len(gallery) == 4000
+        kept = index_bytes(build_neighbours(queries, gallery, RerankParams()))
         tracemalloc.start()
         try:
             kreciprocal_rerank(queries, gallery, RerankParams())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < 1.25 * kept + 4 * len(queries) * len(gallery)
 
     def test_reciprocity_on_small_instance(self):
         # direct set check of mutual neighborhoods
@@ -205,6 +208,11 @@ class TestKReciprocal:
         for p in range(len(feats)):
             for g in recip[p]:
                 assert p in recip[g]
+
+
+def index_bytes(index):
+    """Bytes of the arrays a NeighbourIndex keeps."""
+    return sum(getattr(index, f.name).nbytes for f in fields(NeighbourIndex)[3:])
 
 
 def rerank_1000_instance():
@@ -246,7 +254,9 @@ class TestNeighbourIndex:
     def test_index_memory_bound(self):
         """The index holds d (4 nq ng bytes) and each nonzero of V once, as an
         int64 index and a float64 value; at 4,000 joint items that is about
-        18 MB, and the build peaks under 100 MB like the whole re-rank."""
+        18 MB. The build runs its expansions one probe block at a time and
+        writes the index in place, so its peak stays within half the index
+        above it."""
         gallery, queries, _ = gen_synthetic(400, 8, 2, 64, 0.35, seed=7)
         assert len(queries) + len(gallery) == 4000
         build_neighbours(*duplicate_instance(), RerankParams(6, 3, 0.3))  # warm imports
@@ -259,7 +269,24 @@ class TestNeighbourIndex:
         nq, ng = index.d.shape
         nnz = index.q_cols.size + index.post_rows.size
         assert held < 1.05 * (4 * nq * ng + 16 * nnz + 32 * (nq + ng))
-        assert peak < 100e6
+        assert peak < 1.5 * index_bytes(index)
+
+    @pytest.mark.parametrize("case", ["rerank_1000", "ties"])
+    def test_probe_block_changes_no_byte(self, monkeypatch, case):
+        if case == "ties":
+            queries, gallery = duplicate_instance()
+            params = RerankParams(6, 3, 0.3)
+        else:
+            queries, gallery, params = rerank_1000_instance()
+        want = build_neighbours(queries, gallery, params)
+        want_values = kreciprocal_rerank(queries, gallery, params).values
+        for block in (7, len(queries) + len(gallery)):
+            monkeypatch.setattr(rerank, "PROBE_BLOCK", block)
+            got = build_neighbours(queries, gallery, params)
+            for f in fields(NeighbourIndex)[3:]:
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            assert kreciprocal_rerank(queries, gallery, params).values.tobytes() == want_values.tobytes()
 
 
 class TestSharding:

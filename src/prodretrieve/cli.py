@@ -16,6 +16,7 @@ import sys
 from . import embed_store, ensemble, evalbench, harness, pseudolabel, rerank, search
 from .errors import MalformedFile, ManifestInvalid, ProdRetrieveError
 from .fileio import compact_json, read_json, sha256_file, sha256_hex, write_json
+from .stages import stage
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,8 +48,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fuse", help="fuse multi-scale embedding files")
-    p.add_argument("--in", dest="inp", nargs="+", help="EMB1 files, aligned ids")
-    p.add_argument("--sidecars", nargs="+", help="sidecar JSON manifests")
+    p.add_argument("--in", dest="inp", nargs="+", required=True, help="EMB1 files, aligned ids")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("search", help="exact cosine distance matrix")
@@ -162,14 +162,7 @@ def cmd_normalize(args) -> None:
 
 
 def cmd_fuse(args) -> None:
-    if bool(args.inp) == bool(args.sidecars):
-        raise SystemExit(_usage("fuse needs exactly one of --in / --sidecars"))
-    if args.inp:
-        members = [
-            (os.path.basename(p), embed_store.load_embeddings(p)) for p in args.inp
-        ]
-    else:
-        members = [embed_store.load_from_sidecar(p) for p in args.sidecars]
+    members = [(os.path.basename(p), embed_store.load_embeddings(p)) for p in args.inp]
     fused = embed_store.fuse_multiscale(embed_store.ScaleGroup(tuple(members)))
     embed_store.save_embeddings(fused, args.out)
     _status([args.out])
@@ -251,10 +244,14 @@ def cmd_vote_ensemble(args) -> None:
 
 
 def cmd_cluster(args) -> None:
-    emb = embed_store.load_embeddings(args.inp)
-    result = pseudolabel.cluster_features(emb, args.threshold)
-    pseudolabel.save_clusters(result, args.out)
-    _status([args.out], n_clusters=len(result.clusters), n_pool=len(result.unclustered_pool))
+    stages = {}
+    with stage("load", stages):
+        emb = embed_store.load_embeddings(args.inp)
+    result = pseudolabel.cluster_features(emb, args.threshold, stages)
+    with stage("write", stages):
+        pseudolabel.save_clusters(result, args.out)
+    _status([args.out], n_clusters=len(result.clusters), n_pool=len(result.unclustered_pool),
+            stages=stages)
 
 
 def cmd_filter_clusters(args) -> None:
@@ -279,18 +276,16 @@ def cmd_assign_labels(args) -> None:
 
 
 def cmd_gen_synth(args) -> None:
-    gallery, queries, gt = evalbench.gen_synthetic(
-        n_classes=args.classes,
-        gallery_per_class=args.gallery_per_class,
-        queries_per_class=args.queries_per_class,
-        dim=args.dim,
-        noise_sigma=args.noise,
-        seed=args.seed,
-    )
-    embed_store.save_embeddings(gallery, args.out_gallery)
-    embed_store.save_embeddings(queries, args.out_queries)
-    evalbench.save_ground_truth(gt, args.out_gt)
-    _status([args.out_gallery, args.out_queries, args.out_gt])
+    stages = {}
+    with stage("draw", stages):
+        gallery, queries, gt = evalbench.gen_synthetic(
+            args.classes, args.gallery_per_class, args.queries_per_class,
+            args.dim, args.noise, args.seed)
+    with stage("write", stages):
+        embed_store.save_embeddings(gallery, args.out_gallery)
+        embed_store.save_embeddings(queries, args.out_queries)
+        evalbench.save_ground_truth(gt, args.out_gt)
+    _status([args.out_gallery, args.out_queries, args.out_gt], stages=stages)
 
 
 def cmd_eval(args) -> None:

@@ -15,7 +15,6 @@ EMB1 binary layout (all integers little-endian):
 """
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -25,16 +24,16 @@ from .errors import (
     DuplicateId,
     IoFailure,
     MagicMismatch,
-    MalformedFile,
     MisalignedScales,
     NonFiniteValue,
     TruncatedFile,
     ZeroVector,
 )
-from .fileio import atomic_open, read_json, sha256_file, write_json
+from .fileio import atomic_open
 
 MAGIC = b"EMB1"
 HEADER = struct.Struct("<4sIII")
+ID_BATCH = 4096  # ids per write of the id block: a save holds one batch's records
 
 # Norm below this is treated as a corrupt/degenerate vector, never clamped.
 ZERO_NORM_EPS = 1e-12
@@ -102,14 +101,16 @@ class ScaleGroup:
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
     """Commit the EMB1 format atomically; bytes are deterministic for a set."""
-    head = [HEADER.pack(MAGIC, len(emb), emb.dim, 0)]
-    for item_id in emb.ids:
-        raw = item_id.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise IoFailure(f"id longer than 65535 bytes: {item_id[:32]}...")
-        head += (struct.pack("<H", len(raw)), raw)
     with atomic_open(path, "wb") as fh:
-        fh.write(b"".join(head))
+        fh.write(HEADER.pack(MAGIC, len(emb), emb.dim, 0))
+        for start in range(0, len(emb), ID_BATCH):
+            records = []
+            for item_id in emb.ids[start:start + ID_BATCH]:
+                raw = item_id.encode("utf-8")
+                if len(raw) > 0xFFFF:
+                    raise IoFailure(f"id longer than 65535 bytes: {item_id[:32]}...")
+                records += (len(raw).to_bytes(2, "little"), raw)
+            fh.write(b"".join(records))
         fh.write(emb.vectors.astype("<f4", copy=False).data)
 
 
@@ -147,26 +148,6 @@ def load_embeddings(path) -> EmbeddingSet:
         data, dtype="<f4", count=count * dim, offset=off
     ).reshape(count, dim)
     return EmbeddingSet(ids=tuple(ids), vectors=vectors)
-
-
-def make_sidecar(path, scale: str, model: str) -> dict:
-    """Sidecar manifest describing one embedding file, with its sha256."""
-    digest = sha256_file(path)
-    sidecar = {"path": str(path), "scale": scale, "model": model, "sha256": digest}
-    write_json(f"{path}.json", sidecar)
-    return sidecar
-
-
-def load_from_sidecar(sidecar_path) -> tuple[str, EmbeddingSet]:
-    """Load (scale label, embeddings) via a sidecar, verifying the sha256;
-    a sidecar that is not a `make_sidecar` object raises MalformedFile."""
-    here = os.path.dirname(os.path.abspath(sidecar_path))  # a relative path's base
-    emb_path, digest, scale = read_json(sidecar_path, lambda obj: (
-        os.path.join(here, obj["path"]), obj["sha256"], obj.get("scale", "")
-    ), MalformedFile)
-    if sha256_file(emb_path) != digest:
-        raise IoFailure(f"{emb_path}: sha256 mismatch against sidecar")
-    return scale, load_embeddings(emb_path)
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ class NonFiniteValue(ProdRetrieveError):
 
 
 class IoFailure(ProdRetrieveError):
-    """An id too long for EMB1, or an embedding file that fails its sidecar sha256."""
+    """An item id longer than the 65,535 bytes an EMB1 id record can hold."""
 
 
 class ZeroVector(ProdRetrieveError):

@@ -2,11 +2,14 @@
 
 Everything here is deliberately written with plain Python loops and no
 shared code with the package, so a bug in the fast paths cannot hide in
-its own oracle.
+its own oracle. `naive_gen_synthetic` is numpy, because it must reproduce
+the generator's bits: it draws every vector in one call.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def naive_cosine_distance(queries, gallery):
@@ -173,3 +176,30 @@ def naive_components(vectors, ids, threshold):
 def naive_recall_at_k(ranked_ids, relevant, k):
     hits = len([g for g in ranked_ids[:k] if g in relevant])
     return hits / min(len(relevant), k)
+
+
+def naive_gen_synthetic(n_classes, gallery_per_class, queries_per_class, dim, noise_sigma, seed):
+    """The synthetic benchmark from one float64 draw of every vector at once:
+    (gallery ids, gallery rows, query ids, query rows, {query id: relevant ids}),
+    rows as float32 arrays. Row norms come from a 1 x d @ d x 1 matmul, the
+    bits of `row / math.sqrt(row.dot(row))`."""
+    def unit_rows(vecs):
+        vecs /= np.sqrt(np.matmul(vecs[..., None, :], vecs[..., :, None]))[..., 0]
+
+    per_class = 1 + gallery_per_class + queries_per_class
+    vecs = np.random.default_rng(seed).standard_normal((n_classes, per_class, dim))
+    unit_rows(vecs[:, :1])
+    members = vecs[:, 1:]
+    members *= noise_sigma
+    members += vecs[:, :1]
+    unit_rows(members)
+    g_ids = [[f"g{c:05d}_{i:03d}" for i in range(gallery_per_class)] for c in range(n_classes)]
+    q_ids = [[f"q{c:05d}_{i:03d}" for i in range(queries_per_class)] for c in range(n_classes)]
+    relevant = {qid: set(gids) for gids, qids in zip(g_ids, q_ids) for qid in qids}
+    return (
+        [i for row in g_ids for i in row],
+        members[:, :gallery_per_class].astype(np.float32).reshape(-1, dim),
+        [i for row in q_ids for i in row],
+        members[:, gallery_per_class:].astype(np.float32).reshape(-1, dim),
+        relevant,
+    )

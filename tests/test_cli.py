@@ -170,27 +170,15 @@ class TestExitCodes:
         assert _one_line_error(capsys, f"MalformedFile: {path}: {error}: ").out == ""
         assert not out.exists()
 
-    def test_sidecar_without_path_is_2(self, synth, tmp_path, capsys):
-        sidecar = tmp_path / "s.json"
-        sidecar.write_text(json.dumps({"scale": "400", "model": "demo", "sha256": "00"}))
-        out = tmp_path / "fused.emb"
-        code = run(["fuse", "--sidecars", str(sidecar), "--out", str(out)])
-        assert code == 2
-        assert _one_line_error(capsys, f"MalformedFile: {sidecar}: KeyError: ").out == ""
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["eval", "fuse"])
     def test_directory_as_input_file_is_2(self, synth, tmp_path, capsys, command):
         """An input path that names a directory ended in an IsADirectoryError
         traceback with exit 1."""
+        path = tmp_path
         if command == "eval":
-            path = tmp_path
             argv = ["eval", "--lists", str(path), "--gt", synth["gt"]]
         else:
-            sidecar = tmp_path / "s.json"  # "" names the sidecar's own directory
-            sidecar.write_text(json.dumps({"path": "", "sha256": "00"}))
-            path = os.path.dirname(sidecar)
-            argv = ["fuse", "--sidecars", str(sidecar), "--out", str(tmp_path / "f.emb")]
+            argv = ["fuse", "--in", synth["gallery"], str(path), "--out", str(tmp_path / "f.emb")]
         assert run(argv) == 2
         captured = _one_line_error(capsys, "IsADirectoryError: ")
         assert str(path) in captured.err and captured.out == ""
@@ -387,17 +375,6 @@ class TestSubcommands:
         assert run(["eval", "--lists", lists_path, "--gt", gt_path, "--k", "10"]) == 0
         assert ok_line(capsys)["mar_at_k"] == 1.0
 
-    def test_fuse_sidecars(self, synth, tmp_path, capsys):
-        from prodretrieve.embed_store import make_sidecar
-
-        make_sidecar(synth["gallery"], scale="400", model="demo")
-        out = str(tmp_path / "fused.emb")
-        assert run([
-            "fuse", "--sidecars", f"{synth['gallery']}.json", "--out", out,
-        ]) == 0
-        ok_line(capsys)
-        assert load_embeddings(out).ids == load_embeddings(synth["gallery"]).ids
-
     def test_gen_synth_deterministic(self, tmp_path, capsys):
         args = [
             "gen-synth", "--classes", "3", "--gallery-per-class", "2",
@@ -413,6 +390,28 @@ class TestSubcommands:
             ok_line(capsys)
         assert (tmp_path / "ga.emb").read_bytes() == (tmp_path / "gb.emb").read_bytes()
         assert (tmp_path / "gta.jsonl").read_bytes() == (tmp_path / "gtb.jsonl").read_bytes()
+
+    def test_gen_synth_and_cluster_report_stages(self, tmp_path, capsys):
+        """Each stage's wall and CPU seconds, and the process's peak RSS in MB
+        by its end, which never falls from one stage to the next."""
+        emb, clusters = str(tmp_path / "g.emb"), str(tmp_path / "c.json")
+        assert run([
+            "gen-synth", "--classes", "30", "--gallery-per-class", "4",
+            "--queries-per-class", "1", "--dim", "16", "--noise", "0.05", "--seed", "3",
+            "--out-gallery", emb, "--out-queries", str(tmp_path / "q.emb"),
+            "--out-gt", str(tmp_path / "gt.jsonl"),
+        ]) == 0
+        gen = ok_line(capsys)["stages"]
+        assert run(["cluster", "--in", emb, "--threshold", "0.8", "--out", clusters]) == 0
+        status = ok_line(capsys)
+        assert status["n_clusters"] == 30
+        for stages, names in ((gen, ["draw", "write"]),
+                              (status["stages"], ["load", "scan", "components", "write"])):
+            assert list(stages) == names
+            assert all(set(s) == {"wall_s", "cpu_s", "maxrss_mb"} for s in stages.values())
+            assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in stages.values())
+            rss = [s["maxrss_mb"] for s in stages.values()]
+            assert rss == sorted(rss) and rss[0] > 0
 
     def test_cluster_filter_assign(self, tmp_path, capsys):
         rng = np.random.default_rng(12)

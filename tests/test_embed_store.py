@@ -140,6 +140,35 @@ class TestFormat:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["a.emb"]
 
+    def test_id_block_bytes_across_batches(self, tmp_path):
+        """More ids than one batch holds, some with a 2-byte UTF-8 character:
+        the file is the header, each id's (uint16 length, bytes) record, then
+        the payload."""
+        n = 2 * embed_store.ID_BATCH + 3
+        ids = [f"{'é' if i % 3 else 'a'}{i}" for i in range(n)]
+        emb = make_set(ids, np.arange(2 * n, dtype=np.float32).reshape(n, 2))
+        path = tmp_path / "x.emb"
+        save_embeddings(emb, path)
+        records = b"".join(
+            struct.pack("<H", len(i.encode())) + i.encode() for i in ids
+        )
+        assert path.read_bytes() == (
+            struct.pack("<4sIII", b"EMB1", n, 2, 0) + records + emb.vectors.tobytes()
+        )
+        assert load_embeddings(path).ids == emb.ids
+
+    def test_id_length_limit(self, tmp_path):
+        """A 65,535-byte id fits its uint16 length; a 65,536-byte one is
+        refused, in a later batch than the first, leaving no file behind."""
+        path = tmp_path / "ok.emb"
+        save_embeddings(make_set(["é" * 32767 + "a"], [[1.0]]), path)
+        assert load_embeddings(path).ids == ("é" * 32767 + "a",)
+        n = embed_store.ID_BATCH + 1
+        ids = [f"i{k}" for k in range(n - 1)] + ["é" * 32768]
+        with pytest.raises(IoFailure):
+            save_embeddings(make_set(ids, np.zeros((n, 1))), tmp_path / "bad.emb")
+        assert [p.name for p in tmp_path.iterdir()] == ["ok.emb"]
+
     def test_load_peak_memory_about_file_size(self, tmp_path):
         rng = np.random.default_rng(5)
         path = tmp_path / "big.emb"
@@ -281,14 +310,3 @@ class TestFusion:
         a = make_set(["a"], [[0.0, 0.0]])
         with pytest.raises(ZeroVector):
             fuse_multiscale(ScaleGroup((("x", a),)))
-
-
-def test_sidecar_round_trip(tmp_path):
-    emb = make_set(["a", "b"], np.eye(2))
-    path = tmp_path / "m.emb"
-    save_embeddings(emb, path)
-    sidecar = embed_store.make_sidecar(path, scale="512", model="demo")
-    assert sidecar["scale"] == "512"
-    scale, back = embed_store.load_from_sidecar(f"{path}.json")
-    assert scale == "512"
-    assert back.ids == emb.ids

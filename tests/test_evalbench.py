@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import naive_recall_at_k
+from oracles import naive_gen_synthetic, naive_recall_at_k
+from prodretrieve import evalbench
+from prodretrieve.embed_store import EmbeddingSet, save_embeddings
 from prodretrieve.errors import DuplicateBallot, InvalidParams, MalformedFile, UnknownGalleryId
 from prodretrieve.evalbench import (
     GroundTruth,
@@ -123,6 +127,40 @@ class TestGenSynthetic:
         for rel in gt.relevant.values():
             assert rel <= gallery_ids
             assert len(rel) == 3
+
+    @pytest.mark.parametrize("budget", ["one-class", "three-classes", "default"])
+    def test_chunked_draw_equals_one_draw(self, tmp_path, monkeypatch, budget):
+        """EMB1 and ground-truth bytes equal the oracle's one-draw benchmark with
+        one class per chunk, with 3 classes per chunk (8 classes: the last chunk
+        holds 2), and with the default budget (one chunk here)."""
+        shape = (8, 5, 2, 12, 0.2, 17)
+        per_class = (1 + 5 + 2) * 12  # float64 elements
+        if budget != "default":
+            classes = 3 if budget == "three-classes" else 1
+            monkeypatch.setattr(evalbench, "DRAW_BUDGET", classes * per_class)
+        g_ids, g_rows, q_ids, q_rows, relevant = naive_gen_synthetic(*shape)
+        gallery, queries, gt = gen_synthetic(*shape)
+        for got, ids, rows in ((gallery, g_ids, g_rows), (queries, q_ids, q_rows)):
+            save_embeddings(got, tmp_path / "got.emb")
+            save_embeddings(EmbeddingSet(ids, rows), tmp_path / "want.emb")
+            assert (tmp_path / "got.emb").read_bytes() == (tmp_path / "want.emb").read_bytes()
+        save_ground_truth(gt, tmp_path / "got.jsonl")
+        save_ground_truth(GroundTruth(relevant), tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_memory_bound_at_mining_shape(self):
+        """1333 classes x 14 vectors x 64 (the pipeline's mining set): beside
+        its float32 outputs the draw holds one DRAW_BUDGET float64 chunk and
+        the ids; one float64 draw of the whole set peaked at 17.5 MB here."""
+        gen_synthetic(2, 2, 1, 4, 0.1, seed=1)  # numpy.random's first use allocates once
+        tracemalloc.start()
+        try:
+            gallery, queries, _ = gen_synthetic(1333, 12, 1, 64, 0.07, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = gallery.vectors.nbytes + queries.vectors.nbytes
+        assert peak <= outputs + 4e6, f"peak {peak / 1e6:.1f} MB, outputs {outputs / 1e6:.1f} MB"
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):

@@ -115,10 +115,10 @@ class TestClusterFeatures:
     @pytest.mark.parametrize("block,tile", [(None, None), (16, 24), (24, 16)],
                              ids=["None", "16", "24"])
     def test_matches_oracle_across_block_boundaries(self, monkeypatch, block, tile):
-        """n a multiple of neither BLOCK nor TILE (at the defaults n < TILE),
-        groups scattered over several blocks, and exact duplicates on both
-        sides of a row-block boundary and in the first and last column of a
-        column tile. The id is the block size."""
+        """n a multiple of neither BLOCK nor TILE, groups scattered over
+        several blocks, and exact duplicates on both sides of a row-block
+        boundary and in the first and last column of a column tile. The id
+        is the block size."""
         if block is not None:
             monkeypatch.setattr(pseudolabel, "BLOCK", block)
             monkeypatch.setattr(pseudolabel, "TILE", tile)
@@ -153,6 +153,31 @@ class TestClusterFeatures:
             for i, j in copies:
                 assert any(f"x{i:04d}" in c and f"x{j:04d}" in c for c in result.clusters)
 
+    @pytest.mark.parametrize("block,tile", [(None, None), (16, 24), (24, 16)],
+                             ids=["None", "16", "24"])
+    def test_chain_across_tiles_in_reverse_order(self, monkeypatch, block, tile):
+        """One chain whose links (cos 0.9 between neighbours, 0.8 two apart,
+        threshold 0.85) run from the last row to the first, across every row
+        block and column tile, plus rows joined to nothing. Each link joins two
+        trees the union-find built in earlier tiles. The id is the block size."""
+        if block is not None:
+            monkeypatch.setattr(pseudolabel, "BLOCK", block)
+            monkeypatch.setattr(pseudolabel, "TILE", tile)
+        length, window = (130, 10) if block is not None else (2 * pseudolabel.BLOCK + 60, 10)
+        dim = length + window + 3
+        rows = np.zeros((length + 3, dim), np.float32)
+        for k in range(length):  # link k sits at row length - 1 - k
+            rows[length - 1 - k, k:k + window] = 1.0
+        rows[length:, dim - 3:] = np.eye(3)
+        emb = unit_set([f"x{i:04d}" for i in range(len(rows))], rows)
+        result = cluster_features(emb, 0.85)
+        assert result.clusters == (tuple(emb.ids[:length]),)
+        assert result.unclustered_pool == emb.ids[length:]
+        if block is not None:
+            clusters, pool = naive_components(emb.vectors.tolist(), list(emb.ids), 0.85)
+            assert result.clusters == tuple(clusters)
+            assert result.unclustered_pool == tuple(pool)
+
     def test_threshold_edge_decided_in_float64(self):
         """At a threshold equal to a pair's float64 dot the pair is joined,
         one float64 step above it is not. Both thresholds round to the same
@@ -184,13 +209,14 @@ class TestClusterFeatures:
         assert peak < 64e6
 
     def test_tiled_memory_bound_at_mining_shape(self):
-        """One 512 x 4096 float32 tile is 8.4 MB; a scan through one
-        512-row x n block peaked at 41.6 MB here."""
+        """One 1024 x 256 float32 tile is 1.0 MB and the union-find 4 bytes a
+        row; 512 x 4096 tiles and a Python union-find peaked at 11.2 MB here,
+        a scan through one 512-row x n block at 41.6 MB."""
         emb, _, _ = gen_synthetic(1333, 12, 1, 64, 0.07, seed=7)
         assert len(emb) == 15996
         result, peak = traced_cluster_features(emb, 0.8)
         assert len(result.clusters) > 1000
-        assert peak < 16e6
+        assert peak < 4e6
 
     def test_traced_peak_independent_of_n(self):
         """From n to 2n (both above TILE) the peak may grow only by what is
@@ -232,6 +258,8 @@ class TestFilterConfident:
         out = filter_confident(r)
         assert sorted(len(c) for c in out.clusters) == [3, 9]
         assert len(out.unclustered_pool) == 2 + 50
+        # the demoted ids ("i...") sort before the pool's own ("pool_...")
+        assert out.unclustered_pool == tuple(sorted(out.unclustered_pool))
 
     def test_idempotent(self):
         r = self._result([2, 9, 10, 15])

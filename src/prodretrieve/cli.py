@@ -184,12 +184,15 @@ def cmd_crop_agg(args) -> None:
 
 
 def cmd_rerank(args) -> None:
-    queries = embed_store.load_embeddings(args.queries)
-    gallery = embed_store.load_embeddings(args.gallery)
+    stages = {}
     params = rerank.RerankParams(k1=args.k1, k2=args.k2, lam=args.lam)
-    matrix = rerank.kreciprocal_rerank(queries, gallery, params)
-    search.save_matrix(matrix, args.out)
-    _status([args.out])
+    with stage("load", stages):
+        queries = embed_store.load_embeddings(args.queries)
+        gallery = embed_store.load_embeddings(args.gallery)
+    matrix = rerank.kreciprocal_rerank(queries, gallery, params, stages=stages)
+    with stage("write", stages):
+        search.save_matrix(matrix, args.out)
+    _status([args.out], stages=stages)
 
 
 def cmd_shard(args) -> None:
@@ -207,10 +210,12 @@ def cmd_worker(args) -> None:
 
 
 def cmd_coordinate(args) -> None:
+    stages = {}
     results, report = harness.coordinator_run(
-        args.manifest, parallelism=args.parallelism, fail_policy=args.fail_policy
+        args.manifest, parallelism=args.parallelism, fail_policy=args.fail_policy,
+        stages=stages,
     )
-    _write_merge_outputs(results, report, args.out, args.missing)
+    _write_merge_outputs(results, report, args.out, args.missing, stages=stages)
 
 
 def cmd_merge(args) -> None:
@@ -219,13 +224,13 @@ def cmd_merge(args) -> None:
     _write_merge_outputs(results, report, args.out, args.missing)
 
 
-def _write_merge_outputs(results, report, out, missing_path) -> None:
+def _write_merge_outputs(results, report, out, missing_path, **extra) -> None:
     search.write_ranking_lists(results, out)
     outputs = [out]
     if missing_path:
         write_json(missing_path, report.to_dict())
         outputs.append(missing_path)
-    _status(outputs, n_missing=len(report.missing_queries))
+    _status(outputs, n_missing=len(report.missing_queries), **extra)
 
 
 def cmd_max_ensemble(args) -> None:

@@ -3,8 +3,9 @@
 There is no network protocol. The coordinator loads the job's inputs and
 builds the re-ranking neighbour index (`rerank.build_neighbours`) once,
 then forks one worker process per shard. Each worker inherits the index
-copy-on-write, re-ranks only its own query rows and makes no BLAS call;
-the job directory carries the manifest in and the shard files out. Since
+copy-on-write and re-ranks only its own query rows; it recomputes their
+original distances with BLAS pinned to one thread (`blas.one_blas_thread`).
+The job directory carries the manifest in and the shard files out. Since
 the build runs before any fork, a data error in the inputs (too few items,
 rows not unit-norm, mismatched dims) ends the job with that error, not with
 every shard lost. The manifest stores the query ids and the shard count;
@@ -41,6 +42,7 @@ from .rerank import (
     write_shard_result,
 )
 from .search import topk
+from .stages import stage
 
 MANIFEST_NAME = "manifest.json"
 
@@ -170,6 +172,7 @@ def coordinator_run(
     manifest_path,
     parallelism: int = 1,
     fail_policy: str = "tolerate",
+    stages=None,
 ):
     """Build the neighbour index, fan shards out to forked workers that
     share it, then merge whatever landed.
@@ -177,9 +180,11 @@ def coordinator_run(
     Errors in the inputs raise here, before any fork. Workers are forked,
     not spawned: a fresh interpreter would re-import numpy and could not
     inherit the index. The "fork" context is named explicitly because the
-    platform default may be forkserver. The index (4*nq*ng + 16*nnz(V)
+    platform default may be forkserver. The index (4*n*dim + 16*nnz(V)
     bytes, see `rerank.NeighbourIndex`) is released once the last worker is
-    forked; the inputs, as soon as it is built.
+    forked; the inputs, as soon as it is built. `stages`, a dict, receives
+    the build's stages and "jaccard", the shard phase from the first fork
+    to the last join, whose cpu_s counts the workers' CPU.
     """
     # loaded once here, not by each worker for its sha256 trailer; at module
     # level it would add ~4 MB to every process that imports the harness
@@ -198,7 +203,7 @@ def coordinator_run(
     index = build_neighbours(
         load_embeddings(manifest.query_path),
         load_embeddings(manifest.gallery_path),
-        manifest.params,
+        manifest.params, stages,
     )
 
     fork = multiprocessing.get_context("fork")
@@ -206,24 +211,25 @@ def coordinator_run(
     running: dict = {}  # sentinel -> (shard, process, start time)
     exit_codes: dict[int, int] = {}
     wall_s: dict[int, float] = {}
-    while pending or running:
-        while pending and len(running) < parallelism:
-            shard = pending.pop(0)
-            proc = fork.Process(
-                target=worker_run, args=(manifest_path, shard),
-                kwargs={"index": index},
-            )
-            started = time.monotonic()
-            proc.start()  # drops the Process's own reference to its kwargs
-            running[proc.sentinel] = (shard, proc, started)
-        if not pending:
-            index = None  # every worker holds its own copy from here on
-        for sentinel in wait(list(running)):
-            shard, proc, started = running.pop(sentinel)
-            proc.join()
-            wall_s[shard] = time.monotonic() - started
-            if proc.exitcode:
-                exit_codes[shard] = proc.exitcode
+    with stage("jaccard", stages):
+        while pending or running:
+            while pending and len(running) < parallelism:
+                shard = pending.pop(0)
+                proc = fork.Process(
+                    target=worker_run, args=(manifest_path, shard),
+                    kwargs={"index": index},
+                )
+                started = time.monotonic()
+                proc.start()  # drops the Process's own reference to its kwargs
+                running[proc.sentinel] = (shard, proc, started)
+            if not pending:
+                index = None  # every worker holds its own copy from here on
+            for sentinel in wait(list(running)):
+                shard, proc, started = running.pop(sentinel)
+                proc.join()
+                wall_s[shard] = time.monotonic() - started
+                if proc.exitcode:
+                    exit_codes[shard] = proc.exitcode
 
     results, report = merge_shard_results(manifest.shards, job_dir)
     report.exit_codes.update(sorted(exit_codes.items()))  # in shard order

@@ -174,7 +174,6 @@ def cluster_features(emb: EmbeddingSet, threshold: float, stages=None) -> Cluste
     if _norm_deviation(emb.vectors) > NORM_TOL:
         raise NotNormalized("cluster_features requires unit-norm rows")
 
-    stages = {} if stages is None else stages
     with stage("scan", stages):
         parent = np.arange(n, dtype=np.int32)  # int32 union-find: 4 bytes a row
         for rows, cols in _similar_pairs(emb.vectors, threshold):
@@ -261,8 +260,8 @@ def save_clusters(result: ClusterResult, path) -> None:
         "pool": list(result.unclustered_pool),
     }
     with atomic_open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        # json.dumps, not json.dump: only a one-shot encode uses the C encoder
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_clusters(path) -> ClusterResult:

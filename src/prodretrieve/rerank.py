@@ -16,11 +16,12 @@ evidence over the joint query+gallery set P of n items:
 The work splits in two. `build_neighbours` does steps 1-5 once over the
 whole joint set and returns a read-only `NeighbourIndex`; `rerank_rows`
 does steps 6-7 for any subset of its query rows, and `kreciprocal_rerank`
-is the two in turn. No n x n array is ever built. d is streamed twice in
-the fixed QUERY_BLOCK-row blocks of `search`, through one reused
-QUERY_BLOCK x n float32 buffer, so each distance has the bits
+is the two in turn. No n x n array is ever built. d is streamed in the
+fixed QUERY_BLOCK-row blocks of `search`, each by the one full-width call
+`_distance_block` makes, so each distance has the bits
 `pairwise_cosine_distance` gives it: the first pass keeps the top-k1 lists
-N(p,k1), the second gathers d on R*(p,k1) and on the query x gallery block.
+N(p,k1), the second gathers d on R*(p,k1), and `rerank_rows` computes the
+query blocks again for the query x gallery part of d it mixes in.
 The reciprocal sets and the expansion work on sorted flat keys p*n+g; V and
 its query expansion are CSR arrays, and the expansion sums each group in
 the order the dense mean over {p} + N(p,k2) does. The Jaccard step walks an
@@ -29,21 +30,32 @@ sum(max) = |v_q|_1 + |v_g|_1 - sum(min), the trick of Zhong et al.,
 "Re-ranking Person Re-identification with k-reciprocal Encoding"
 (CVPR 2017).
 
-The index the build keeps is 4*nq*ng bytes for d plus 16 bytes per nonzero
-of the query-expanded V, which has at most (k2 + 1)*nnz(V), where
-nnz(V) <= n*k1*(1 + ceil(k1/2)). The expansion and the query expansion run
-one PROBE_BLOCK of probes at a time, and the query expansion runs twice:
-once to size each query row and each gallery column, once to write every
-row straight into its place in the index. Beside the index, the build
-holds V (16 bytes per nonzero), O(n*k1) for the neighbour lists and
-reciprocal sets, the distance buffer and one probe block's work,
-O(PROBE_BLOCK*(n + k1*ceil(k1/2) + (k2 + 1)*max row of V)). Traced peaks
-against the index kept (2 vCPUs, numpy 2.4): 10.5 MB against 4.7 MB at
-1,000 items with k1 = 30, k2 = 10, where expanding every probe at once
-peaked at 23.9 MB; 121 MB against 108 MB at 10,000 items (296 MB before);
-601 MB against 570 MB at 50,000 items with the default parameters, whose
-ru_maxrss fell from 1,014 to 665 MB. `rerank_rows` adds only its
-len(rows) x ng output.
+The distance blocks run on one BLAS thread, each computed by a helper
+thread while the caller works on the block before it (`blas.overlapped`):
+OpenBLAS's second thread would otherwise spin through the single-threaded
+selection, gather and Jaccard work around each small sgemm: at 1,000 items
+(k1 = 30, k2 = 10; 2 vCPUs, OpenBLAS 0.3.31) a re-rank used 1.6-1.8 CPU
+seconds per wall second that way, and about 1.0 on one thread. At 10,000
+items the wall time stayed within its run-to-run spread (median 3.35
+against 3.22 s) at 14% less CPU; one thread without the overlap was slower.
+Without a BLAS thread control the blocks are computed inline, with the
+same bits.
+
+The index the build keeps is 4*n*dim bytes for the joint vectors plus 16
+bytes per nonzero of the query-expanded V, which has at most
+(k2 + 1)*nnz(V), where nnz(V) <= n*k1*(1 + ceil(k1/2)). The expansion and
+the query expansion run one PROBE_BLOCK of probes at a time, and the query
+expansion runs twice: once to size each query row and each gallery column,
+once to write every row straight into its place in the index. Beside the
+index, the build holds V (16 bytes per nonzero), O(n*k1) for the neighbour
+lists and reciprocal sets, two QUERY_BLOCK x n float32 distance buffers and
+one probe block's work, O(PROBE_BLOCK*(n + k1*ceil(k1/2) + (k2 + 1)*max
+row of V)). Traced peaks against the index kept (2 vCPUs, numpy 2.4, k1 =
+30, k2 = 10): 5.8 MB against 4.0 MB at 1,000 items; 53 MB against 46.5 MB
+at 10,000 items, where the index with the nq x ng d was 108 MB and its
+build peaked at 121 MB. At 50,000 items with the default parameters the
+build's ru_maxrss fell from 641 to 221 MB. `rerank_rows` adds its
+len(rows) x ng output and the two distance buffers.
 
 Large jobs are split by query index modulo the shard count. The job
 harness builds the index once and each shard re-ranks its own rows of it;
@@ -63,6 +75,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import blas
 from .embed_store import EmbeddingSet
 from .errors import CorruptShard, InvalidParams, TooFewItems
 from .fileio import atomic_open, parse_json_lines, sha256_hex
@@ -77,13 +90,16 @@ from .search import (
     parse_ranking,
     ranking_to_json,
 )
+from .stages import stage
 
 EXPANSION_OVERLAP = 2.0 / 3.0
 
 # Probes that the expansion and the query expansion handle at once. It sets
 # only how much of their work is held together, never a byte of the index:
-# each probe's work is independent of the others'.
-PROBE_BLOCK = QUERY_BLOCK
+# each probe's work is independent of the others'. Of 32, 64, 128 and 256,
+# 64 built fastest at 1,000 and 10,000 items, with a smaller peak than 128
+# or 256.
+PROBE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -196,10 +212,11 @@ class NeighbourIndex:
     `q_ptr`, `q_cols` and `q_vals` are the query rows of the expanded V in
     CSR form. `col_ptr`, `post_rows` and `post_vals` are its gallery rows as
     an inverted index: for each column, the gallery rows that hold it.
-    `norms` is |V_p|_1 for all n items and `d` the nq x ng original
+    `norms` is |V_p|_1 for all n items and `vecs` the n x dim joint vectors,
+    queries first, from which `rerank_rows` recomputes the original
     distances. Each nonzero of the query-expanded V is held once, as an
     int64 index and a float64 value, so the index takes
-    4*nq*ng + 16*nnz(V) + O(n) bytes.
+    4*n*dim + 16*nnz(V) + O(n) bytes.
     Its arrays are read-only, so no caller can change what another reads.
     """
 
@@ -213,7 +230,7 @@ class NeighbourIndex:
     col_ptr: np.ndarray
     post_rows: np.ndarray
     post_vals: np.ndarray
-    d: np.ndarray
+    vecs: np.ndarray
 
     def __post_init__(self):
         for f in fields(self)[3:]:
@@ -224,94 +241,109 @@ def build_neighbours(
     query_feats: EmbeddingSet,
     gallery_feats: EmbeddingSet,
     params: RerankParams,
+    stages=None,
 ) -> NeighbourIndex:
     """Steps 1-5 over the full joint set: pass 1, the expansion, pass 2 and
     the query expansion. Each distance pass runs one QUERY_BLOCK-row block
-    at a time through one reused buffer; the expansion and the query
-    expansion run one PROBE_BLOCK of probes at a time, and the query
-    expansion writes each block's rows straight into the index arrays."""
+    at a time (`blas.overlapped`); the expansion and the query expansion run
+    one PROBE_BLOCK of probes at a time, and the query expansion writes each
+    block's rows straight into the index arrays. `stages`, a dict, receives
+    the "pass1", "expansion", "pass2" and "query_expansion" stages (see
+    `stages.stage`)."""
     nq, ng = len(query_feats), len(gallery_feats)
     n = nq + ng
     if n <= params.k1:
         raise TooFewItems(f"joint set of {n} items needs > k1={params.k1}")
     _check_pair(query_feats, gallery_feats)
     vecs = np.vstack([query_feats.vectors, gallery_feats.vectors])
-    vt = vecs.T
-    buf = np.empty(min(QUERY_BLOCK, n) * n, dtype=np.float32)
+    distances, bufs = _distances(vecs)
     starts = range(0, n, QUERY_BLOCK)
 
-    def distances(start):
-        rows = min(QUERY_BLOCK, n - start)
-        return _distance_block(vecs, vt, start, out=buf[:rows * n].reshape(rows, n))
+    with stage("pass1", stages):  # the top-k1 lists N(p,k1)
+        nbr = np.concatenate([_top_k(block, start, params.k1)
+                              for start, block in blas.overlapped(distances, starts, bufs)])
+    with stage("expansion", stages):
+        v_ptr, v_cols = _expansion(nbr, params.k1)
+        nbr = nbr[:, :params.k2].copy()  # the query expansion reads only N(p,k2)
 
-    # pass 1: the top-k1 lists N(p,k1)
-    nbr = np.concatenate([_top_k(distances(start), start, params.k1) for start in starts])
-    v_ptr, v_cols = _expansion(nbr, params.k1)
-    nbr = nbr[:, :params.k2].copy()  # the query expansion reads only N(p,k2)
-
-    # pass 2: V = exp(-d) on R*(p,k1) for every p, and d on the query x gallery block
-    v = np.empty(v_cols.size)
-    d = np.empty((nq, ng), dtype=np.float32)
-    for start in starts:
-        block = distances(start)
-        stop = start + len(block)
-        lo, hi = v_ptr[start], v_ptr[stop]
-        rows = np.repeat(np.arange(len(block)), np.diff(v_ptr[start:stop + 1]))
-        v[lo:hi] = np.exp(-block[rows, v_cols[lo:hi]].astype(np.float64))
-        if start < nq:
-            d[start:stop] = block[:nq - start, nq:]
-    del buf, block  # not held through the query expansion
+    with stage("pass2", stages):  # V = exp(-d) on R*(p,k1) for every p
+        v = np.empty(v_cols.size)
+        for start, block in blas.overlapped(distances, starts, bufs):
+            stop = start + len(block)
+            lo, hi = v_ptr[start], v_ptr[stop]
+            rows = np.repeat(np.arange(len(block)), np.diff(v_ptr[start:stop + 1]))
+            v[lo:hi] = np.exp(-block[rows, v_cols[lo:hi]].astype(np.float64))
+        del bufs, block  # not held through the query expansion
 
     # the query expansion, twice over the probe blocks: first the length of
     # each expanded row and of each gallery column, then the rows themselves,
     # written straight into the index arrays
-    probe_blocks = [(start, min(start + PROBE_BLOCK, n)) for start in range(0, n, PROBE_BLOCK)]
-    row_len = np.empty(n, dtype=np.intp)
-    col_len = np.zeros(n, dtype=np.intp)
-    for start, stop in probe_blocks:
-        rows, cols, _ = _query_expansion(nbr, params.k2, v_ptr, v_cols, None, start, stop)
-        row_len[start:stop] = np.bincount(rows, minlength=stop - start)
-        col_len += np.bincount(cols[np.searchsorted(rows, nq - start):], minlength=n)
-    del rows, cols
-    q_ptr = _ptr(row_len[:nq])
-    col_ptr = _ptr(col_len)
-    q_cols = np.empty(q_ptr[-1], dtype=np.intp)
-    q_vals = np.empty(q_ptr[-1])
-    post_rows = np.empty(col_ptr[-1], dtype=np.intp)
-    post_vals = np.empty(col_ptr[-1])
-    norms = np.empty(n)
-    cursor = col_ptr[:-1].copy()  # next free slot of each gallery column
-    for start, stop in probe_blocks:
-        rows, cols, vals = _query_expansion(nbr, params.k2, v_ptr, v_cols, v, start, stop)
-        norms[start:stop] = np.bincount(rows, weights=vals, minlength=stop - start)
-        cut = np.searchsorted(rows, nq - start)  # rows before it are query rows
-        if cut:
-            lo = q_ptr[start]
-            q_cols[lo:lo + cut] = cols[:cut]
-            q_vals[lo:lo + cut] = vals[:cut]
-        # gallery rows join their columns' postings, rows ascending in each
-        rows, cols, vals = rows[cut:], cols[cut:], vals[cut:]
-        counts = np.bincount(cols, minlength=n)
-        order = np.argsort(cols * (stop - start) + rows)  # the keys are distinct
-        at = (cursor - (np.cumsum(counts) - counts))[cols[order]] + np.arange(order.size)
-        post_rows[at] = rows[order] + (start - nq)
-        post_vals[at] = vals[order]
-        cursor += counts
-        del rows, cols, vals, order, at  # not held through the next block
+    with stage("query_expansion", stages):
+        probe_blocks = [(start, min(start + PROBE_BLOCK, n)) for start in range(0, n, PROBE_BLOCK)]
+        row_len = np.empty(n, dtype=np.intp)
+        col_len = np.zeros(n, dtype=np.intp)
+        for start, stop in probe_blocks:
+            rows, cols, _ = _query_expansion(nbr, params.k2, v_ptr, v_cols, None, start, stop)
+            row_len[start:stop] = np.bincount(rows, minlength=stop - start)
+            col_len += np.bincount(cols[np.searchsorted(rows, nq - start):], minlength=n)
+        del rows, cols
+        q_ptr = _ptr(row_len[:nq])
+        col_ptr = _ptr(col_len)
+        q_cols = np.empty(q_ptr[-1], dtype=np.intp)
+        q_vals = np.empty(q_ptr[-1])
+        post_rows = np.empty(col_ptr[-1], dtype=np.intp)
+        post_vals = np.empty(col_ptr[-1])
+        norms = np.empty(n)
+        cursor = col_ptr[:-1].copy()  # next free slot of each gallery column
+        for start, stop in probe_blocks:
+            rows, cols, vals = _query_expansion(nbr, params.k2, v_ptr, v_cols, v, start, stop)
+            norms[start:stop] = np.bincount(rows, weights=vals, minlength=stop - start)
+            cut = np.searchsorted(rows, nq - start)  # rows before it are query rows
+            if cut:
+                lo = q_ptr[start]
+                q_cols[lo:lo + cut] = cols[:cut]
+                q_vals[lo:lo + cut] = vals[:cut]
+            # gallery rows join their columns' postings, rows ascending in each
+            rows, cols, vals = rows[cut:], cols[cut:], vals[cut:]
+            counts = np.bincount(cols, minlength=n)
+            order = np.argsort(cols * (stop - start) + rows)  # the keys are distinct
+            at = (cursor - (np.cumsum(counts) - counts))[cols[order]] + np.arange(order.size)
+            post_rows[at] = rows[order] + (start - nq)
+            post_vals[at] = vals[order]
+            cursor += counts
+            del rows, cols, vals, order, at  # not held through the next block
     return NeighbourIndex(
         query_feats.ids, gallery_feats.ids, params,
         q_ptr=q_ptr, q_cols=q_cols, q_vals=q_vals, norms=norms,
-        col_ptr=col_ptr, post_rows=post_rows, post_vals=post_vals, d=d,
+        col_ptr=col_ptr, post_rows=post_rows, post_vals=post_vals, vecs=vecs,
     )
 
 
-def rerank_rows(index: NeighbourIndex, rows=None) -> DistanceMatrix:
-    """Steps 6-7 for the query rows `rows` (all of them when None).
+def _distances(vecs: np.ndarray):
+    """The `produce(start, buf)` that `blas.overlapped` calls, and its two
+    QUERY_BLOCK x n float32 buffers. It writes rows [start, start +
+    QUERY_BLOCK) of the joint set's distances to all n items by the one
+    full-width `_distance_block` call, so a distance has the same bits in
+    both passes and in `rerank_rows`."""
+    n, vt = len(vecs), vecs.T
 
+    def distances(start, buf):
+        rows = min(QUERY_BLOCK, n - start)
+        return _distance_block(vecs, vt, start, out=buf[:rows * n].reshape(rows, n))
+
+    return distances, [np.empty(min(QUERY_BLOCK, n) * n, dtype=np.float32) for _ in range(2)]
+
+
+def rerank_rows(index: NeighbourIndex, rows=None, stages=None) -> DistanceMatrix:
+    """Steps 6-7 for the query rows `rows` (all of them when None), in any
+    order. `stages`, a dict, receives the "jaccard" stage.
+
+    Each QUERY_BLOCK that holds a requested row has its original distances
+    recomputed, overlapped with the Jaccard step of the block before it.
     Each row reads only the shared index, so a row has the same bits
     whichever rows are asked for with it.
     """
-    nq, ng = index.d.shape
+    nq, ng = len(index.query_ids), len(index.gallery_ids)
     qrows = np.arange(nq)
     if rows is not None:
         qrows = qrows[np.asarray(list(rows), dtype=np.intp)]
@@ -321,17 +353,26 @@ def rerank_rows(index: NeighbourIndex, rows=None) -> DistanceMatrix:
     col_len = np.diff(col_ptr)
     g_norms = index.norms[nq:]
     out = np.empty((qrows.size, ng), dtype=np.float32)
-    for i, qi in enumerate(qrows):
-        q = slice(q_ptr[qi], q_ptr[qi + 1])
-        lengths = col_len[q_cols[q]]
-        idx = _ranges(col_ptr[q_cols[q]], lengths)
-        mins = np.minimum(np.repeat(q_vals[q], lengths), post_vals[idx])
-        mins = np.bincount(post_rows[idx], weights=mins, minlength=ng)
-        maxs = index.norms[qi] + g_norms - mins
-        jaccard = np.ones(ng, dtype=np.float64)
-        nz = maxs > 0
-        jaccard[nz] = 1.0 - mins[nz] / maxs[nz]
-        out[i] = (1.0 - lam) * jaccard + lam * index.d[qi].astype(np.float64)
+    block_of = qrows // QUERY_BLOCK
+    by_block = np.argsort(block_of, kind="stable")  # positions in out, block by block
+    blocks, counts = np.unique(block_of, return_counts=True)
+    groups = np.split(by_block, np.cumsum(counts)[:-1])
+    distances, bufs = _distances(index.vecs)
+    with stage("jaccard", stages):
+        for (start, block), group in zip(
+                blas.overlapped(distances, blocks * QUERY_BLOCK, bufs), groups):
+            for i in group:
+                qi = qrows[i]
+                q = slice(q_ptr[qi], q_ptr[qi + 1])
+                lengths = col_len[q_cols[q]]
+                idx = _ranges(col_ptr[q_cols[q]], lengths)
+                mins = np.minimum(np.repeat(q_vals[q], lengths), post_vals[idx])
+                mins = np.bincount(post_rows[idx], weights=mins, minlength=ng)
+                maxs = index.norms[qi] + g_norms - mins
+                jaccard = np.ones(ng, dtype=np.float64)
+                nz = maxs > 0
+                jaccard[nz] = 1.0 - mins[nz] / maxs[nz]
+                out[i] = (1.0 - lam) * jaccard + lam * block[qi - start, nq:].astype(np.float64)
 
     qids = tuple(index.query_ids[i] for i in qrows)
     return DistanceMatrix(qids, index.gallery_ids, out)
@@ -342,16 +383,17 @@ def kreciprocal_rerank(
     gallery_feats: EmbeddingSet,
     params: RerankParams,
     query_rows=None,
+    stages=None,
 ) -> DistanceMatrix:
     """Re-rank gallery items for each query (or a subset of query rows).
 
     `query_rows` restricts the reported rows; the neighbor structures are
     always computed over the full joint set, so any row of a restricted
-    run is bit-identical to the same row of a full run.
-    The index, with its full nq x ng d, lives until the rows are done.
+    run is bit-identical to the same row of a full run. `stages`, a dict,
+    receives the stages of `build_neighbours` and `rerank_rows`.
     """
-    index = build_neighbours(query_feats, gallery_feats, params)
-    return rerank_rows(index, query_rows)
+    index = build_neighbours(query_feats, gallery_feats, params, stages)
+    return rerank_rows(index, query_rows, stages)
 
 
 # --- sharding ---

@@ -413,6 +413,30 @@ class TestSubcommands:
             rss = [s["maxrss_mb"] for s in stages.values()]
             assert rss == sorted(rss) and rss[0] > 0
 
+    def test_rerank_and_coordinate_report_stages(self, tmp_path, capsys):
+        """The re-rank's build stages and its Jaccard stage; a coordinate's
+        "jaccard" is its forked workers' phase, whose CPU it counts."""
+        gallery, queries, _ = gen_synthetic(30, 4, 2, 16, 0.3, seed=3)
+        qpath, gpath = str(tmp_path / "q.emb"), str(tmp_path / "g.emb")
+        save_embeddings(queries, qpath)
+        save_embeddings(gallery, gpath)
+        params = ["--queries", qpath, "--gallery", gpath, "--k1", "6", "--k2", "2"]
+        assert run(["rerank", *params, "--out", str(tmp_path / "r.npz")]) == 0
+        rerank_stages = ok_line(capsys)["stages"]
+        job = tmp_path / "job"
+        assert run(["shard", *params, "--n-shards", "2", "--job-dir", str(job)]) == 0
+        ok_line(capsys)
+        assert run(["coordinate", "--manifest", str(job / "manifest.json"),
+                    "--parallelism", "2", "--out", str(tmp_path / "m.jsonl")]) == 0
+        coordinate_stages = ok_line(capsys)["stages"]
+        build = ["pass1", "expansion", "pass2", "query_expansion"]
+        assert list(rerank_stages) == ["load", *build, "jaccard", "write"]
+        assert list(coordinate_stages) == [*build, "jaccard"]
+        for stages in (rerank_stages, coordinate_stages):
+            assert all(set(s) == {"wall_s", "cpu_s", "maxrss_mb"} for s in stages.values())
+            assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in stages.values())
+        assert coordinate_stages["jaccard"]["cpu_s"] > 0  # the workers' CPU
+
     def test_cluster_filter_assign(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         # 3 tight pairs + 30 singles

@@ -1,3 +1,5 @@
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -340,3 +342,15 @@ def test_cluster_file_round_trip(tmp_path):
     save_clusters(result, path)
     assert load_clusters(path) == result
 
+
+
+def test_cluster_file_bytes_equal_json_dump(tmp_path):
+    # ids with non-ASCII and escaped characters, 3,000 clusters
+    clusters = tuple((f"é{i}", f'q"{i}\\') for i in range(3000))
+    result = ClusterResult(clusters, ("ü\n", "z"), 0.85)
+    path = tmp_path / "clusters.json"
+    save_clusters(result, path)
+    want = io.StringIO()
+    json.dump({"threshold": 0.85, "clusters": [list(c) for c in clusters],
+               "pool": ["ü\n", "z"]}, want)
+    assert path.read_bytes() == (want.getvalue() + "\n").encode("utf-8")

@@ -10,52 +10,37 @@ Submodules:
     fileio       atomic (fsync + rename) file commits, sha256 of a file
     evalbench    MAR@k evaluation and the synthetic benchmark generator
     cli          the `prodretrieve` command
+
+The names in `__all__` load their submodule on first use (PEP 562), so
+`import prodretrieve` loads no numpy: `python -m prodretrieve` can set the
+BLAS thread count before numpy starts OpenBLAS (see `__main__`).
 """
 
-from .embed_store import (
-    EmbeddingSet,
-    ScaleGroup,
-    fuse_multiscale,
-    l2_normalize,
-    load_embeddings,
-    save_embeddings,
-)
-from .ensemble import max_ensemble, vote_ensemble
-from .evalbench import GroundTruth, gen_synthetic, mar_at_k
-from .pseudolabel import assign_pseudo_labels, cluster_features, filter_confident
-from .rerank import RerankParams, kreciprocal_rerank
-from .search import (
-    CropGroupMap,
-    DistanceMatrix,
-    RankingList,
-    aggregate_crops,
-    pairwise_cosine_distance,
-    topk,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmbeddingSet",
-    "ScaleGroup",
-    "fuse_multiscale",
-    "l2_normalize",
-    "load_embeddings",
-    "save_embeddings",
-    "max_ensemble",
-    "vote_ensemble",
-    "GroundTruth",
-    "gen_synthetic",
-    "mar_at_k",
-    "assign_pseudo_labels",
-    "cluster_features",
-    "filter_confident",
-    "RerankParams",
-    "kreciprocal_rerank",
-    "CropGroupMap",
-    "DistanceMatrix",
-    "RankingList",
-    "aggregate_crops",
-    "pairwise_cosine_distance",
-    "topk",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(["EmbeddingSet", "ScaleGroup", "fuse_multiscale", "l2_normalize",
+                     "load_embeddings", "save_embeddings"], "embed_store"),
+    **dict.fromkeys(["max_ensemble", "vote_ensemble"], "ensemble"),
+    **dict.fromkeys(["GroundTruth", "gen_synthetic", "mar_at_k"], "evalbench"),
+    **dict.fromkeys(["assign_pseudo_labels", "cluster_features", "filter_confident"],
+                    "pseudolabel"),
+    **dict.fromkeys(["RerankParams", "kreciprocal_rerank"], "rerank"),
+    **dict.fromkeys(["CropGroupMap", "DistanceMatrix", "RankingList", "aggregate_crops",
+                     "pairwise_cosine_distance", "topk"], "search"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

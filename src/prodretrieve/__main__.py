@@ -1,3 +1,28 @@
-from .cli import entry
+"""The `prodretrieve` command: `python -m prodretrieve` and the console script.
 
-entry()
+The command starts OpenBLAS on one thread. The library supplies the
+parallelism itself: `search` runs its query blocks on a thread pool,
+`coordinate` forks one worker per shard, and the re-rank overlaps its
+distance blocks on one helper thread (`prodretrieve.blas`). A multi-threaded
+OpenBLAS would only add the CPU its idle threads spend spinning, from the
+moment numpy loads it; setting the count after that load leaves the
+start-up spin. To choose another count, set OPENBLAS_NUM_THREADS (or
+GOTO_NUM_THREADS or OMP_NUM_THREADS): when any of them is set, the command
+leaves the environment as it is. Importing the library never changes the
+environment.
+"""
+import os
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def main() -> None:
+    if not any(name in os.environ for name in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS
+    from .cli import entry
+
+    entry()
+
+
+if __name__ == "__main__":
+    main()

@@ -7,6 +7,12 @@ pins BLAS to one thread for a block; `overlapped` computes the next block of
 a sequence on a helper thread while the caller works on the current one.
 Where no control is found (another BLAS, or no /proc/self/maps), both run
 inline as plain numpy would.
+
+The `prodretrieve` command starts OpenBLAS on one thread (see `__main__`),
+so inside it the pin finds the count at 1 already; it matters to programs
+that import the library beside a multi-threaded BLAS. `search`'s thread
+pool runs inside `one_blas_thread` as well, so its threads do not each
+start a multi-threaded BLAS call.
 """
 from __future__ import annotations
 

@@ -32,6 +32,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _cores() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity off Linux
+        return os.cpu_count() or 1
+
+
 def _status(outputs, **extra) -> None:
     line = {"ok": True, "outputs": [str(p) for p in outputs]}
     line.update(extra)
@@ -56,8 +71,9 @@ def build_parser() -> _Parser:
     p.add_argument("--gallery", required=True)
     p.add_argument("--out", required=True)
     p.add_argument(
-        "--threads", type=int, default=1,
-        help="threads over the fixed query blocks; never changes output bytes",
+        "--threads", type=_positive_int, default=_cores(),
+        help="threads over the fixed query blocks, each with one BLAS thread "
+             "(default: the available cores); never changes output bytes",
     )
 
     p = sub.add_parser("crop-agg", help="reduce crop columns to parents by min")
@@ -169,11 +185,15 @@ def cmd_fuse(args) -> None:
 
 
 def cmd_search(args) -> None:
-    queries = embed_store.load_embeddings(args.queries)
-    gallery = embed_store.load_embeddings(args.gallery)
-    matrix = search.pairwise_cosine_distance(queries, gallery, threads=args.threads)
-    search.save_matrix(matrix, args.out)
-    _status([args.out])
+    stages = {}
+    with stage("load", stages):
+        queries = embed_store.load_embeddings(args.queries)
+        gallery = embed_store.load_embeddings(args.gallery)
+    with stage("distance", stages):
+        matrix = search.pairwise_cosine_distance(queries, gallery, threads=args.threads)
+    with stage("write", stages):
+        search.save_matrix(matrix, args.out)
+    _status([args.out], stages=stages)
 
 
 def cmd_crop_agg(args) -> None:
@@ -294,15 +314,16 @@ def cmd_gen_synth(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    lists = search.read_ranking_lists(args.lists)
-    gt = evalbench.load_ground_truth(args.gt)
-    gallery_ids = None
-    if args.gallery:
-        gallery_ids = embed_store.load_embeddings(args.gallery).ids
-    report = evalbench.mar_at_k(lists, gt, k=args.k, gallery_ids=gallery_ids)
-    out = {"ok": True, "outputs": []}
-    out.update(report.to_dict(include_per_query=args.per_query))
-    print(json.dumps(out))
+    stages = {}
+    with stage("load", stages):
+        lists = search.read_ranking_lists(args.lists)
+        gt = evalbench.load_ground_truth(args.gt)
+        gallery_ids = None
+        if args.gallery:
+            gallery_ids = embed_store.load_embeddings(args.gallery).ids
+    with stage("eval", stages):
+        report = evalbench.mar_at_k(lists, gt, k=args.k, gallery_ids=gallery_ids)
+    _status([], **report.to_dict(include_per_query=args.per_query), stages=stages)
 
 
 # subcommand -> handler: `crop-agg` runs cmd_crop_agg. `pipeline` runs the

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .embed_store import EmbeddingSet, row_norms
-from .errors import DimMismatch, MalformedFile, NotNormalized, UnmappedCropId
+from .errors import DimMismatch, InvalidParams, MalformedFile, NotNormalized, UnmappedCropId
 from .fileio import atomic_open, compact_json, read_json, read_json_lines, string_list, write_json
 
 NORM_TOL = 1e-4
@@ -154,8 +155,14 @@ def pairwise_cosine_distance(
     """values[i, j] = 1 - dot(query_i, gallery_j) for unit-norm rows.
 
     The gallery is shared read-only; query rows are processed in fixed-size
-    blocks so the result is independent of `threads`.
+    blocks so the result is independent of `threads`. With `threads` > 1 the
+    blocks run on a pool of that many threads, with BLAS pinned to one
+    thread each (`blas.one_blas_thread`) so that the pool does not nest a
+    multi-threaded BLAS; the pool is joined and the count restored before
+    the call returns. `threads` below 1 raises InvalidParams.
     """
+    if threads < 1:
+        raise InvalidParams(f"threads must be >= 1, got {threads}")
     _check_pair(queries, gallery)
     nq = len(queries)
     out = np.empty((nq, len(gallery)), dtype=np.float32)
@@ -165,11 +172,11 @@ def pairwise_cosine_distance(
         _distance_block(queries.vectors, gt, start, out=out[start:start + QUERY_BLOCK])
 
     starts = range(0, nq, QUERY_BLOCK)
-    if threads <= 1:
+    if threads == 1:
         for start in starts:
             run_block(start)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with blas.one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_block, starts))
     return DistanceMatrix(queries.ids, gallery.ids, out)
 

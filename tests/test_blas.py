@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prodretrieve import blas
+from prodretrieve.embed_store import EmbeddingSet, l2_normalize
 from prodretrieve.rerank import (
     NeighbourIndex,
     RerankParams,
@@ -13,6 +14,7 @@ from prodretrieve.rerank import (
     kreciprocal_rerank,
     rerank_rows,
 )
+from prodretrieve.search import QUERY_BLOCK, pairwise_cosine_distance
 from test_rerank import duplicate_instance, rerank_1000_instance
 
 needs_control = pytest.mark.skipif(not blas.controls(), reason="no BLAS thread control found")
@@ -130,6 +132,43 @@ class TestOverlapped:
             list(blas.overlapped(produce, range(4), [None, None]))
         assert threading.active_count() == before
         assert fake.count == 4
+
+
+def search_instance():
+    """Five query blocks, the last one short, against 700 gallery rows."""
+    rng = np.random.default_rng(23)
+    q, g = (l2_normalize(EmbeddingSet([f"{tag}{i}" for i in range(n)], rng.normal(size=(n, 48))))
+            for tag, n in (("q", 4 * QUERY_BLOCK + 37), ("g", 700)))
+    return q, g
+
+
+class TestSearchPool:
+    @pytest.mark.parametrize("control", ["found", "none"])
+    def test_bytes_equal_for_every_thread_count(self, monkeypatch, control):
+        if control == "none":
+            monkeypatch.setattr(blas, "controls", tuple)
+        q, g = search_instance()
+        base = pairwise_cosine_distance(q, g, threads=1).values.tobytes()
+        for threads in (2, 3, 5):
+            assert pairwise_cosine_distance(q, g, threads=threads).values.tobytes() == base
+
+    def test_pool_pins_and_restores(self, fake):
+        q, g = search_instance()
+        pairwise_cosine_distance(q, g, threads=1)
+        assert fake.history == []  # one thread: no pool and no pin
+        pairwise_cosine_distance(q, g, threads=3)
+        assert (fake.count, fake.history) == (4, [1, 4])
+
+    @needs_control
+    def test_real_count_restored_and_pool_joined(self):
+        """No pool thread outlives the call, so `coordinate` still forks a
+        single-threaded process after a search in the same process."""
+        q, g = search_instance()
+        before = [get() for get, _ in blas.controls()]
+        alive = threading.active_count()
+        pairwise_cosine_distance(q, g, threads=2)
+        assert [get() for get, _ in blas.controls()] == before
+        assert threading.active_count() == alive
 
 
 def index_arrays(index):

@@ -230,6 +230,17 @@ class TestExitCodes:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_search_threads_below_one_is_usage_error(self, synth, tmp_path, capsys, threads):
+        out = tmp_path / "d.npz"
+        code = run(["search", "--queries", synth["queries"], "--gallery", synth["gallery"],
+                    "--out", str(out), "--threads", threads])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("usage: prodretrieve search")
+        assert f"--threads: must be >= 1, got {int(threads)}" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_vote_ensemble_bad_k_is_usage_error(self, tmp_path, capsys, k):
         lists = tmp_path / "l.jsonl"
@@ -374,6 +385,38 @@ class TestSubcommands:
         write_ranking_lists(lists, lists_path)
         assert run(["eval", "--lists", lists_path, "--gt", gt_path, "--k", "10"]) == 0
         assert ok_line(capsys)["mar_at_k"] == 1.0
+
+    def test_search_default_threads_writes_one_thread_bytes(self, tmp_path, capsys):
+        """The default, the available cores, over three query blocks."""
+        gallery, queries, _ = gen_synthetic(600, 1, 1, 16, 0.2, seed=5)
+        q, g = str(tmp_path / "q.emb"), str(tmp_path / "g.emb")
+        save_embeddings(queries, q)
+        save_embeddings(gallery, g)
+        assert cli.build_parser().parse_args(
+            ["search", "--queries", q, "--gallery", g, "--out", "x"]).threads == cli._cores()
+        one, default = tmp_path / "one.npz", tmp_path / "default.npz"
+        argv = ["search", "--queries", q, "--gallery", g, "--out"]
+        assert run([*argv, str(one), "--threads", "1"]) == 0
+        assert run([*argv, str(default)]) == 0
+        capsys.readouterr()
+        assert default.read_bytes() == one.read_bytes()
+
+    def test_search_and_eval_report_stages(self, synth, tmp_path, capsys):
+        matrix = tmp_path / "d.npz"
+        assert run(["search", "--queries", synth["queries"], "--gallery", synth["gallery"],
+                    "--out", str(matrix)]) == 0
+        search_stages = ok_line(capsys)["stages"]
+        lists = tmp_path / "lists.jsonl"
+        write_ranking_lists(topk(load_matrix(matrix), 10), lists)
+        assert run(["eval", "--lists", str(lists), "--gt", synth["gt"],
+                    "--gallery", synth["gallery"]]) == 0
+        status = ok_line(capsys)
+        assert status["n_queries"] == 12 and status["outputs"] == []
+        for stages, names in ((search_stages, ["load", "distance", "write"]),
+                              (status["stages"], ["load", "eval"])):
+            assert list(stages) == names
+            assert all(set(s) == {"wall_s", "cpu_s", "maxrss_mb"} for s in stages.values())
+            assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in stages.values())
 
     def test_gen_synth_deterministic(self, tmp_path, capsys):
         args = [

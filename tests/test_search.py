@@ -6,7 +6,9 @@ import pytest
 from oracles import naive_cosine_distance, naive_group_min, naive_topk
 from prodretrieve import search
 from prodretrieve.embed_store import EmbeddingSet, l2_normalize, row_norms
-from prodretrieve.errors import DimMismatch, MalformedFile, NotNormalized, UnmappedCropId
+from prodretrieve.errors import (
+    DimMismatch, InvalidParams, MalformedFile, NotNormalized, UnmappedCropId,
+)
 from prodretrieve.search import (
     MIN_CHUNK,
     NORM_SLICE,
@@ -131,6 +133,13 @@ class TestPairwiseDistance:
         base = pairwise_cosine_distance(q, g, threads=1).values.tobytes()
         for threads in (2, 4):
             assert pairwise_cosine_distance(q, g, threads=threads).values.tobytes() == base
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_refused(self, threads):
+        rng = np.random.default_rng(13)
+        q = random_unit(rng, ["q0"], 8)
+        with pytest.raises(InvalidParams, match=f"threads must be >= 1, got {threads}"):
+            pairwise_cosine_distance(q, q, threads=threads)
 
 
 class TestTopK:

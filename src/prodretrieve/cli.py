@@ -447,11 +447,3 @@ def run(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
-
-
-def entry() -> None:
-    sys.exit(run())
-
-
-if __name__ == "__main__":
-    entry()

@@ -15,7 +15,6 @@ EMB1 binary layout (all integers little-endian):
 """
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -115,51 +114,39 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
         fh.write(emb.vectors.astype("<f4", copy=False).data)
 
 
-def _read_ids(data: bytes, count: int, path) -> tuple[list, int]:
-    """The first `count` id records of `data`, and the offset after them."""
-    ids, off = [], 0
+def load_embeddings(path) -> EmbeddingSet:
+    """Read an EMB1 file; round-trips bit-exactly with save_embeddings."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < HEADER.size or data[:4] != MAGIC:
+        raise MagicMismatch(f"{path}: not an EMB1 file")
+    _, count, dim, reserved = HEADER.unpack_from(data, 0)
+    if reserved != 0:
+        raise MagicMismatch(f"{path}: reserved header field is nonzero")
+
+    ids = []
+    off = HEADER.size
     for _ in range(count):
         if off + 2 > len(data):
             raise TruncatedFile(f"{path}: id block ends early")
-        length = data[off] | data[off + 1] << 8
+        (length,) = struct.unpack_from("<H", data, off)
         off += 2
         if off + length > len(data):
             raise TruncatedFile(f"{path}: id record ends early")
         ids.append(data[off:off + length].decode("utf-8"))
         off += length
-    return ids, off
 
-
-def load_embeddings(path) -> EmbeddingSet:
-    """Read an EMB1 file; round-trips bit-exactly with save_embeddings.
-
-    The payload is read straight into the returned float32 array, so peak
-    memory is the array plus the id block.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(HEADER.size)
-        if len(head) < HEADER.size or head[:4] != MAGIC:
-            raise MagicMismatch(f"{path}: not an EMB1 file")
-        _, count, dim, reserved = HEADER.unpack(head)
-        if reserved != 0:
-            raise MagicMismatch(f"{path}: reserved header field is nonzero")
-        payload = count * dim * 4
-        # the id block is what the payload leaves of the file; only an id
-        # block that runs into the payload needs the rest of the file
-        data = fh.read(max(0, size - HEADER.size - payload))
-        try:
-            ids, off = _read_ids(data, count, path)
-        except TruncatedFile:
-            ids, off = _read_ids(data + fh.read(), count, path)
-        rest = size - HEADER.size - off
-        if rest < payload:
-            raise TruncatedFile(f"{path}: payload has {rest} bytes, expected {payload}")
-        if rest > payload:
-            raise TruncatedFile(f"{path}: {rest - payload} trailing bytes")
-        vectors = np.empty((count, dim), dtype="<f4")
-        if fh.readinto(vectors) != payload:
-            raise TruncatedFile(f"{path}: payload ends early")
+    payload = count * dim * 4
+    if len(data) - off < payload:
+        raise TruncatedFile(
+            f"{path}: payload has {len(data) - off} bytes, expected {payload}"
+        )
+    if len(data) - off > payload:
+        raise TruncatedFile(f"{path}: {len(data) - off - payload} trailing bytes")
+    # a read-only view of the file's bytes, not a copy: peak memory ~ file size
+    vectors = np.frombuffer(
+        data, dtype="<f4", count=count * dim, offset=off
+    ).reshape(count, dim)
     return EmbeddingSet(ids=tuple(ids), vectors=vectors)
 
 

@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -61,6 +63,24 @@ class TestFormat:
         path = tmp_path / "x.emb"
         save_embeddings(emb, path)
         back = load_embeddings(path)
+        assert back.ids == emb.ids
+        assert back.vectors.tobytes() == emb.vectors.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_load_from_a_pipe(self, tmp_path):
+        """A pipe (`--queries <(cat q.emb)`) has no size to read up front."""
+        emb = make_set([f"i{k}" for k in range(300)], np.arange(300 * 64).reshape(300, 64))
+        path = tmp_path / "x.emb"
+        save_embeddings(emb, path)
+        data = path.read_bytes()
+        r, w = os.pipe()
+        writer = threading.Thread(target=lambda: (os.write(w, data), os.close(w)))
+        writer.start()  # the file is larger than the pipe's buffer
+        try:
+            back = load_embeddings(f"/dev/fd/{r}")
+        finally:
+            writer.join()
+            os.close(r)
         assert back.ids == emb.ids
         assert back.vectors.tobytes() == emb.vectors.tobytes()
 

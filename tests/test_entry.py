@@ -86,7 +86,9 @@ def test_command_sets_the_count_only_when_no_variable_is(monkeypatch, preset):
     if preset:
         monkeypatch.setenv(preset, "3")
     seen = {}
-    monkeypatch.setattr(cli, "entry", lambda: seen.update(os.environ))
-    entry.main()
+    monkeypatch.setattr(cli, "run", lambda: seen.update(os.environ) or 3)
+    with pytest.raises(SystemExit) as exc:
+        entry.main()
+    assert exc.value.code == 3  # the command exits with run's code
     expected = {preset: "3"} if preset else {"OPENBLAS_NUM_THREADS": "1"}
     assert {k: seen[k] for k in BLAS_VARS if k in seen} == expected

@@ -75,7 +75,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import blas
+from . import blas, heap
 from .embed_store import EmbeddingSet
 from .errors import CorruptShard, InvalidParams, TooFewItems
 from .fileio import atomic_open, parse_json_lines, sha256_hex
@@ -391,9 +391,16 @@ def kreciprocal_rerank(
     always computed over the full joint set, so any row of a restricted
     run is bit-identical to the same row of a full run. `stages`, a dict,
     receives the stages of `build_neighbours` and `rerank_rows`.
+
+    The index and the build's transient arrays are freed before the call
+    returns, and their pages given back to the OS (`heap.trim`), so the
+    resident set the caller keeps does not depend on the heap's layout.
     """
     index = build_neighbours(query_feats, gallery_feats, params, stages)
-    return rerank_rows(index, query_rows, stages)
+    matrix = rerank_rows(index, query_rows, stages)
+    del index
+    heap.trim()
+    return matrix
 
 
 # --- sharding ---

@@ -1,9 +1,11 @@
 """Single command-line entry point exposing the pipeline as subcommands.
 
-Every subcommand is a thin adapter over one library operation: same
-inputs, same outputs, byte-identical results to calling the operation
-in-process. Exit codes: 0 success, 1 usage error, 2 data error, 3
-manifest/config error. All randomness takes an explicit --seed.
+Every subcommand is a thin adapter over library operations: same inputs,
+same outputs, byte-identical results to calling them in-process. The dense
+ops (`search`, `rerank`, `max-ensemble`) write ranking lists of depth
+`search.DEFAULT_K`, never a distance matrix. Exit codes: 0 success, 1 usage
+error, 2 data error, 3 manifest/config error. All randomness takes an
+explicit --seed.
 """
 from __future__ import annotations
 
@@ -66,9 +68,11 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="inp", nargs="+", required=True, help="EMB1 files, aligned ids")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("search", help="exact cosine distance matrix")
+    p = sub.add_parser("search", help="exact cosine search to top-k ranking lists")
     p.add_argument("--queries", required=True)
     p.add_argument("--gallery", required=True)
+    p.add_argument("--map", dest="crop_map",
+                   help="crop map: reduce crop columns to parents by min before top-k")
     p.add_argument("--out", required=True)
     p.add_argument(
         "--threads", type=_positive_int, default=_cores(),
@@ -76,12 +80,7 @@ def build_parser() -> _Parser:
              "(default: the available cores); never changes output bytes",
     )
 
-    p = sub.add_parser("crop-agg", help="reduce crop columns to parents by min")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--map", dest="crop_map", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("rerank", help="k-reciprocal re-ranking, in-process")
+    p = sub.add_parser("rerank", help="k-reciprocal re-ranking to top-k ranking lists")
     p.add_argument("--queries", required=True)
     p.add_argument("--gallery", required=True)
     p.add_argument("--k1", type=int, default=20)
@@ -96,7 +95,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k1", type=int, default=20)
     p.add_argument("--k2", type=int, default=6)
     p.add_argument("--lam", type=float, default=0.3)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=int, default=search.DEFAULT_K)
     p.add_argument("--job-dir", required=True)
 
     p = sub.add_parser("worker", help="run one shard of a rerank job")
@@ -118,13 +117,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--missing", help="write the missing-query report here")
 
-    p = sub.add_parser("max-ensemble", help="score-level maximum ensemble")
-    p.add_argument("--matrices", nargs="+", required=True, help="distance matrix .npz files")
+    p = sub.add_parser("max-ensemble", help="score-level maximum ensemble to top-k lists")
+    p.add_argument("--queries", nargs="+", required=True, help="EMB1 files, one per member")
+    p.add_argument("--gallery", nargs="+", required=True, help="EMB1 files, one per member")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("vote-ensemble", help="Borda voting over ranking lists")
     p.add_argument("--lists", nargs="+", required=True, help="RankingList .jsonl files")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=search.DEFAULT_K)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cluster", help="threshold-graph connected components")
@@ -157,7 +157,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="MAR@k of ranking lists against ground truth")
     p.add_argument("--lists", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=search.DEFAULT_K)
     p.add_argument("--gallery", help="EMB1 file for gallery id validation")
     p.add_argument("--per-query", action="store_true")
 
@@ -184,23 +184,26 @@ def cmd_fuse(args) -> None:
     _status([args.out])
 
 
+def _write_topk(matrix, out, stages) -> None:
+    """Each query's top DEFAULT_K of `matrix`, written to `out` as ranking lists."""
+    with stage("topk", stages):
+        lists = search.topk(matrix, search.DEFAULT_K)
+    with stage("write", stages):
+        search.write_ranking_lists(lists, out)
+    _status([out], stages=stages)
+
+
 def cmd_search(args) -> None:
     stages = {}
     with stage("load", stages):
         queries = embed_store.load_embeddings(args.queries)
         gallery = embed_store.load_embeddings(args.gallery)
+        crop_map = None if args.crop_map is None else search.load_crop_map(args.crop_map)
     with stage("distance", stages):
         matrix = search.pairwise_cosine_distance(queries, gallery, threads=args.threads)
-    with stage("write", stages):
-        search.save_matrix(matrix, args.out)
-    _status([args.out], stages=stages)
-
-
-def cmd_crop_agg(args) -> None:
-    matrix = search.load_matrix(args.matrix)
-    crop_map = search.load_crop_map(args.crop_map)
-    search.save_matrix(search.aggregate_crops(matrix, crop_map), args.out)
-    _status([args.out])
+        if crop_map is not None:
+            matrix = search.aggregate_crops(matrix, crop_map)
+    _write_topk(matrix, args.out, stages)
 
 
 def cmd_rerank(args) -> None:
@@ -210,9 +213,7 @@ def cmd_rerank(args) -> None:
         queries = embed_store.load_embeddings(args.queries)
         gallery = embed_store.load_embeddings(args.gallery)
     matrix = rerank.kreciprocal_rerank(queries, gallery, params, stages=stages)
-    with stage("write", stages):
-        search.save_matrix(matrix, args.out)
-    _status([args.out], stages=stages)
+    _write_topk(matrix, args.out, stages)
 
 
 def cmd_shard(args) -> None:
@@ -254,9 +255,16 @@ def _write_merge_outputs(results, report, out, missing_path, **extra) -> None:
 
 
 def cmd_max_ensemble(args) -> None:
-    matrices = (search.load_matrix(p) for p in args.matrices)  # loaded in turn
-    search.save_matrix(ensemble.max_ensemble(matrices), args.out)
-    _status([args.out])
+    if len(args.queries) != len(args.gallery):
+        raise SystemExit(_usage("--queries and --gallery need one file per member each"))
+    matrices = (  # lazy: max_ensemble folds each member in before the next is searched
+        search.pairwise_cosine_distance(*map(embed_store.load_embeddings, pair), threads=_cores())
+        for pair in zip(args.queries, args.gallery)
+    )
+    stages = {}
+    with stage("ensemble", stages):
+        matrix = ensemble.max_ensemble(matrices)
+    _write_topk(matrix, args.out, stages)
 
 
 def cmd_vote_ensemble(args) -> None:
@@ -326,8 +334,8 @@ def cmd_eval(args) -> None:
     _status([], **report.to_dict(include_per_query=args.per_query), stages=stages)
 
 
-# subcommand -> handler: `crop-agg` runs cmd_crop_agg. `pipeline` runs the
-# others as its steps, so it is dispatched apart and is no step's op.
+# subcommand -> handler: `max-ensemble` runs cmd_max_ensemble. `pipeline`
+# runs the others as its steps, so it is dispatched apart and is no step's op.
 HANDLERS = {
     name[4:].replace("_", "-"): fn for name, fn in globals().items()
     if name.startswith("cmd_") and name != "cmd_pipeline"

@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DuplicateBallot, IdMismatch, ShapeMismatch
-from .search import DistanceMatrix, RankingList
-
-DEFAULT_K = 10
+from .search import DEFAULT_K, DistanceMatrix, RankingList
 
 
 def _row_minmax_similarity(values: np.ndarray) -> np.ndarray:

@@ -14,9 +14,8 @@ import numpy as np
 from .embed_store import EmbeddingSet
 from .errors import DuplicateBallot, InvalidParams, MalformedFile, UnknownGalleryId
 from .fileio import atomic_open, compact_json, read_json_lines, string_list
-from .search import RankingList
+from .search import DEFAULT_K, RankingList
 
-DEFAULT_K = 10
 DRAW_BUDGET = 1 << 17  # float64 elements per gen_synthetic draw: 1 MiB
 
 

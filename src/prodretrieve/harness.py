@@ -41,7 +41,7 @@ from .rerank import (
     rerank_rows,
     write_shard_result,
 )
-from .search import topk
+from .search import DEFAULT_K, topk
 from .stages import stage
 
 MANIFEST_NAME = "manifest.json"
@@ -55,7 +55,7 @@ class JobManifest:
     gallery_path: str
     params: RerankParams
     shards: ShardManifest
-    depth: int = 10  # top-k depth of the ranking lists workers emit
+    depth: int = DEFAULT_K  # top-k depth of the ranking lists workers emit
 
     def __post_init__(self):
         if type(self.depth) is not int or self.depth < 1:
@@ -87,7 +87,7 @@ class JobManifest:
                     k1=params["k1"], k2=params["k2"], lam=params["lambda"]
                 ),
                 shards=ShardManifest.from_dict(obj["shards"]),
-                depth=obj.get("depth", 10),
+                depth=obj.get("depth", DEFAULT_K),
             )
         except InvalidParams as exc:
             raise ManifestInvalid(f"bad manifest: {exc}") from exc
@@ -99,7 +99,7 @@ def create_job(
     gallery_path,
     params: RerankParams,
     n_shards: int,
-    depth: int = 10,
+    depth: int = DEFAULT_K,
 ) -> JobManifest:
     """Validate inputs, assign query rows to shards, write job_dir/manifest.json."""
     for path in (query_path, gallery_path):

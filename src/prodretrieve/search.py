@@ -1,8 +1,9 @@
 """Exact pairwise cosine distance, top-K extraction, and crop aggregation.
 
-All scores travel in a DistanceMatrix (lower is better). Tie-breaks are
-always by ascending gallery id, so every stage is deterministic and shard
-merges can be compared byte-for-byte.
+All scores travel in a DistanceMatrix (lower is better), which no file
+holds: files hold the ranking lists `topk` makes. Tie-breaks are always by
+ascending gallery id, so every stage is deterministic and shard merges can
+be compared byte-for-byte.
 
 Memory: `pairwise_cosine_distance` holds its nq x ng float32 output plus
 O(NORM_SLICE) float64 for the unit-norm check; sgemm writes each block
@@ -28,6 +29,8 @@ from .errors import DimMismatch, InvalidParams, MalformedFile, NotNormalized, Un
 from .fileio import atomic_open, compact_json, read_json, read_json_lines, string_list, write_json
 
 NORM_TOL = 1e-4
+
+DEFAULT_K = 10  # depth of every ranking list written and scored: MAR@10
 
 # Elements per slice of the unit-norm check, which works in float64.
 NORM_SLICE = 1 << 14
@@ -285,36 +288,6 @@ def aggregate_crops(matrix: DistanceMatrix, crop_map: CropGroupMap) -> DistanceM
 
 
 # --- on-disk formats ---
-
-def _id_array(ids, path) -> np.ndarray:
-    # numpy's fixed-width unicode drops trailing NULs on read
-    bad = next((i for i in ids if i.endswith("\0")), None)
-    if bad is not None:
-        raise MalformedFile(f"{path}: id {bad!r} ends in NUL and would not round-trip")
-    return np.array(ids, dtype=str)
-
-
-def save_matrix(matrix: DistanceMatrix, path) -> None:
-    """Ids are stored as fixed-width unicode arrays, so no load needs pickle."""
-    q, g = (_id_array(ids, path) for ids in (matrix.query_ids, matrix.gallery_ids))
-    # saved through a handle, np.savez adds no ".npz" suffix to `path`
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, query_ids=q, gallery_ids=g, values=matrix.values)
-
-
-def load_matrix(path) -> DistanceMatrix:
-    """Read a `save_matrix` file without pickle. Object (pickled) arrays,
-    ids that are not 1-D unicode, and missing or mis-shaped arrays raise
-    MalformedFile."""
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            ids = [npz[key] for key in ("query_ids", "gallery_ids")]
-            if any(a.ndim != 1 or a.dtype.kind != "U" for a in ids):
-                raise ValueError("ids are not 1-D unicode arrays")
-            return DistanceMatrix(*(tuple(a.tolist()) for a in ids), npz["values"])
-    except (ValueError, KeyError) as exc:
-        raise MalformedFile(f"{path} is not a distance-matrix file: {exc}") from exc
-
 
 def ranking_to_json(rl: RankingList) -> str:
     return compact_json({

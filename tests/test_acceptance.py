@@ -346,6 +346,7 @@ def test_9_performance_floor():
 
 FROZEN_PIPELINE_FUSED_MAR = 0.96875
 FROZEN_PIPELINE_VOTED_MAR = 0.9708333333333334
+FROZEN_PIPELINE_SEARCH_MAR = 0.89375  # raw search, before re-ranking
 
 
 def test_demo_pipeline_regression(tmp_path, capsys):
@@ -367,6 +368,7 @@ def test_demo_pipeline_regression(tmp_path, capsys):
     mars = [
         json.loads(l)["mar_at_k"] for l in out_lines if "mar_at_k" in l
     ]
-    assert len(mars) == 2
+    assert len(mars) == 3
     assert abs(mars[0] - FROZEN_PIPELINE_FUSED_MAR) < 1e-6
     assert abs(mars[1] - FROZEN_PIPELINE_VOTED_MAR) < 1e-6
+    assert abs(mars[2] - FROZEN_PIPELINE_SEARCH_MAR) < 1e-6

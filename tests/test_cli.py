@@ -7,13 +7,14 @@ import pytest
 from oracles import naive_borda
 from prodretrieve import cli
 from prodretrieve.cli import _step_argv, run
-from prodretrieve.embed_store import EmbeddingSet, load_embeddings, save_embeddings
+from prodretrieve.embed_store import EmbeddingSet, l2_normalize, load_embeddings, save_embeddings
 from prodretrieve.ensemble import max_ensemble, vote_ensemble
 from prodretrieve.evalbench import gen_synthetic, save_ground_truth
 from prodretrieve.fileio import sha256_file
+from prodretrieve.rerank import RerankParams, kreciprocal_rerank
 from prodretrieve.search import (
-    DistanceMatrix, RankingList, load_matrix, read_ranking_lists, save_matrix, topk,
-    write_ranking_lists,
+    DEFAULT_K, CropGroupMap, DistanceMatrix, RankingList, aggregate_crops,
+    pairwise_cosine_distance, read_ranking_lists, save_crop_map, topk, write_ranking_lists,
 )
 
 
@@ -76,17 +77,6 @@ def synth(tmp_path):
     save_embeddings(queries, paths["queries"])
     save_ground_truth(gt, paths["gt"])
     return paths
-
-
-class _Payload:
-    """Unpickling this makes the directory `path`: a stand-in for the code
-    a foreign pickled file could run."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def __reduce__(self):
-        return os.mkdir, (self.path,)
 
 
 def _one_line_error(capsys, prefix):
@@ -153,9 +143,7 @@ class TestExitCodes:
         ("arity", "ValueError"),
         ("crops-a-string", "TypeError"),
     ])
-    def test_malformed_crop_map_is_2(self, tmp_path, capsys, edit, error):
-        matrix = tmp_path / "d.npz"
-        save_matrix(DistanceMatrix(("q",), ("c0", "c1"), np.zeros((1, 2), np.float32)), matrix)
+    def test_malformed_crop_map_is_2(self, synth, tmp_path, capsys, edit, error):
         crop_map = {"scheme": "custom", "groups": {"p": ["c0", "c1"]}}
         if edit == "arity":
             crop_map["scheme"] = "index5crop"
@@ -164,8 +152,9 @@ class TestExitCodes:
         text = json.dumps(crop_map)
         path = tmp_path / "map.json"
         path.write_text(text[:-5] if edit == "truncated" else text)
-        out = tmp_path / "agg.npz"
-        code = run(["crop-agg", "--matrix", str(matrix), "--map", str(path), "--out", str(out)])
+        out = tmp_path / "lists.jsonl"
+        code = run(["search", "--queries", synth["queries"], "--gallery", synth["gallery"],
+                    "--map", str(path), "--out", str(out)])
         assert code == 2
         assert _one_line_error(capsys, f"MalformedFile: {path}: {error}: ").out == ""
         assert not out.exists()
@@ -222,7 +211,7 @@ class TestExitCodes:
 
     def test_threads_before_subcommand_is_usage_error(self, synth, tmp_path, capsys):
         """`--threads` is an option of `search` only."""
-        out = tmp_path / "d.npz"
+        out = tmp_path / "lists.jsonl"
         code = run([
             "--threads", "2", "search", "--queries", synth["queries"],
             "--gallery", synth["gallery"], "--out", str(out),
@@ -232,7 +221,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_search_threads_below_one_is_usage_error(self, synth, tmp_path, capsys, threads):
-        out = tmp_path / "d.npz"
+        out = tmp_path / "lists.jsonl"
         code = run(["search", "--queries", synth["queries"], "--gallery", synth["gallery"],
                     "--out", str(out), "--threads", threads])
         captured = capsys.readouterr()
@@ -253,39 +242,32 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
-        (["max-ensemble", "--matrices", "d.npz", "--spec", "x"], "unrecognized arguments: --spec"),
+        (["max-ensemble", "--queries", "q.emb", "--gallery", "g.emb", "--spec", "x"],
+         "unrecognized arguments: --spec"),
         (["vote-ensemble", "--lists", "l.jsonl", "--spec", "x"], "unrecognized arguments: --spec"),
-        (["max-ensemble"], "required: --matrices"),
+        (["max-ensemble"], "required: --queries, --gallery"),
         (["vote-ensemble"], "required: --lists"),
     ], ids=["max-spec", "vote-spec", "max-no-matrices", "vote-no-lists"])
     def test_ensemble_members_only_as_files_is_usage_error(self, tmp_path, capsys, argv, message):
-        """Members are named by `--matrices`/`--lists` alone, and one is required."""
+        """Members are named by `--queries`/`--gallery` or `--lists` alone, and
+        one is required."""
         out = tmp_path / "fused.out"
         assert run([*argv, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["max-ensemble", "crop-agg"])
-    def test_pickled_matrix_file_is_2_and_never_runs(self, tmp_path, capsys, command):
-        """Ids stored as a pickled object array are refused before anything
-        in them is unpickled."""
-        marker = tmp_path / "payload_ran"
-        evil = tmp_path / "evil.npz"
-        np.savez(
-            evil, query_ids=np.array([_Payload(str(marker))], dtype=object),
-            gallery_ids=np.array(["g0"]), values=np.zeros((1, 1), np.float32),
-        )
-        crop_map = tmp_path / "map.json"
-        crop_map.write_text(json.dumps({"scheme": "custom", "groups": {"p": ["g0"]}}))
-        out = tmp_path / "out.npz"
-        inputs = {
-            "max-ensemble": ["--matrices", str(evil)],
-            "crop-agg": ["--matrix", str(evil), "--map", str(crop_map)],
-        }[command]
-        code = run([command, *inputs, "--out", str(out)])
-        assert not marker.exists()
-        assert code == 2
-        _one_line_error(capsys, f"MalformedFile: {evil} is not a distance-matrix file: ")
+    @pytest.mark.parametrize("n_queries,n_gallery", [(2, 1), (1, 3)])
+    def test_max_ensemble_unequal_member_counts_is_usage_error(
+        self, synth, tmp_path, capsys, n_queries, n_gallery
+    ):
+        """Each member is one queries file and one gallery file."""
+        out = tmp_path / "fused.jsonl"
+        code = run(["max-ensemble", "--queries", *[synth["queries"]] * n_queries,
+                    "--gallery", *[synth["gallery"]] * n_gallery, "--out", str(out)])
+        assert code == 1
+        captured = _one_line_error(
+            capsys, "prodretrieve: error: --queries and --gallery need one file per member")
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("command,line,error", [
@@ -372,47 +354,42 @@ class TestSubcommands:
         save_embeddings(gallery, g)
         save_embeddings(queries, q)
         save_ground_truth(gt, gt_path)
-        m = str(tmp_path / "d.npz")
-        assert run(["search", "--queries", q, "--gallery", g, "--out", m]) == 0
-        m2 = str(tmp_path / "d2.npz")
-        assert run(["search", "--threads", "2", "--queries", q, "--gallery", g, "--out", m2]) == 0
+        lists, lists2 = tmp_path / "lists.jsonl", tmp_path / "lists2.jsonl"
+        assert run(["search", "--queries", q, "--gallery", g, "--out", str(lists)]) == 0
+        assert run(["search", "--threads", "2", "--queries", q, "--gallery", g,
+                    "--out", str(lists2)]) == 0
         capsys.readouterr()
-        assert load_matrix(m2).values.tobytes() == load_matrix(m).values.tobytes()
-
-        # topk via rerank path not needed; write lists with a tiny merge:
-        lists = topk(load_matrix(m), 10)
-        lists_path = str(tmp_path / "lists.jsonl")
-        write_ranking_lists(lists, lists_path)
-        assert run(["eval", "--lists", lists_path, "--gt", gt_path, "--k", "10"]) == 0
+        assert lists2.read_bytes() == lists.read_bytes()
+        assert run(["eval", "--lists", str(lists), "--gt", gt_path, "--k", "10"]) == 0
         assert ok_line(capsys)["mar_at_k"] == 1.0
 
     def test_search_default_threads_writes_one_thread_bytes(self, tmp_path, capsys):
-        """The default, the available cores, over three query blocks."""
+        """The default, the available cores, over three query blocks; both
+        are the in-process top-k of the in-process distances."""
         gallery, queries, _ = gen_synthetic(600, 1, 1, 16, 0.2, seed=5)
         q, g = str(tmp_path / "q.emb"), str(tmp_path / "g.emb")
         save_embeddings(queries, q)
         save_embeddings(gallery, g)
         assert cli.build_parser().parse_args(
             ["search", "--queries", q, "--gallery", g, "--out", "x"]).threads == cli._cores()
-        one, default = tmp_path / "one.npz", tmp_path / "default.npz"
+        one, default, want = (tmp_path / f"{n}.jsonl" for n in ("one", "default", "want"))
         argv = ["search", "--queries", q, "--gallery", g, "--out"]
         assert run([*argv, str(one), "--threads", "1"]) == 0
         assert run([*argv, str(default)]) == 0
         capsys.readouterr()
-        assert default.read_bytes() == one.read_bytes()
+        write_ranking_lists(topk(pairwise_cosine_distance(queries, gallery), DEFAULT_K), want)
+        assert default.read_bytes() == one.read_bytes() == want.read_bytes()
 
     def test_search_and_eval_report_stages(self, synth, tmp_path, capsys):
-        matrix = tmp_path / "d.npz"
-        assert run(["search", "--queries", synth["queries"], "--gallery", synth["gallery"],
-                    "--out", str(matrix)]) == 0
-        search_stages = ok_line(capsys)["stages"]
         lists = tmp_path / "lists.jsonl"
-        write_ranking_lists(topk(load_matrix(matrix), 10), lists)
+        assert run(["search", "--queries", synth["queries"], "--gallery", synth["gallery"],
+                    "--out", str(lists)]) == 0
+        search_stages = ok_line(capsys)["stages"]
         assert run(["eval", "--lists", str(lists), "--gt", synth["gt"],
                     "--gallery", synth["gallery"]]) == 0
         status = ok_line(capsys)
         assert status["n_queries"] == 12 and status["outputs"] == []
-        for stages, names in ((search_stages, ["load", "distance", "write"]),
+        for stages, names in ((search_stages, ["load", "distance", "topk", "write"]),
                               (status["stages"], ["load", "eval"])):
             assert list(stages) == names
             assert all(set(s) == {"wall_s", "cpu_s", "maxrss_mb"} for s in stages.values())
@@ -464,7 +441,7 @@ class TestSubcommands:
         save_embeddings(queries, qpath)
         save_embeddings(gallery, gpath)
         params = ["--queries", qpath, "--gallery", gpath, "--k1", "6", "--k2", "2"]
-        assert run(["rerank", *params, "--out", str(tmp_path / "r.npz")]) == 0
+        assert run(["rerank", *params, "--out", str(tmp_path / "r.jsonl")]) == 0
         rerank_stages = ok_line(capsys)["stages"]
         job = tmp_path / "job"
         assert run(["shard", *params, "--n-shards", "2", "--job-dir", str(job)]) == 0
@@ -473,7 +450,7 @@ class TestSubcommands:
                     "--parallelism", "2", "--out", str(tmp_path / "m.jsonl")]) == 0
         coordinate_stages = ok_line(capsys)["stages"]
         build = ["pass1", "expansion", "pass2", "query_expansion"]
-        assert list(rerank_stages) == ["load", *build, "jaccard", "write"]
+        assert list(rerank_stages) == ["load", *build, "jaccard", "topk", "write"]
         assert list(coordinate_stages) == [*build, "jaccard"]
         for stages in (rerank_stages, coordinate_stages):
             assert all(set(s) == {"wall_s", "cpu_s", "maxrss_mb"} for s in stages.values())
@@ -536,7 +513,6 @@ class TestSubcommands:
             assert json.load(fh)["missing_queries"] == []
 
         # byte-equivalent to in-process rerank + topk
-        from prodretrieve.rerank import RerankParams, kreciprocal_rerank
         queries = load_embeddings(synth["queries"])
         gallery = load_embeddings(synth["gallery"])
         direct = topk(
@@ -573,44 +549,42 @@ class TestSubcommands:
         assert shard_files["coordinate"] == shard_files["worker"]
 
     def test_vote_and_max_ensemble_cli(self, synth, tmp_path, capsys):
-        m = str(tmp_path / "d.npz")
-        assert run([
-            "search", "--queries", synth["queries"], "--gallery", synth["gallery"],
-            "--out", m,
-        ]) == 0
-        out = str(tmp_path / "fused.npz")
-        assert run(["max-ensemble", "--matrices", m, m, "--out", out]) == 0
+        q, g = synth["queries"], synth["gallery"]
+        lists = tmp_path / "l.jsonl"
+        assert run(["search", "--queries", q, "--gallery", g, "--out", str(lists)]) == 0
+        fused, want = tmp_path / "fused.jsonl", tmp_path / "want.jsonl"
+        assert run(["max-ensemble", "--queries", q, q, "--gallery", g, g,
+                    "--out", str(fused)]) == 0
         capsys.readouterr()
+        matrix = pairwise_cosine_distance(load_embeddings(q), load_embeddings(g))
+        write_ranking_lists(topk(max_ensemble([matrix, matrix]), DEFAULT_K), want)
+        assert fused.read_bytes() == want.read_bytes()
 
-        lists = str(tmp_path / "l.jsonl")
-        write_ranking_lists(topk(load_matrix(m), 10), lists)
         voted = str(tmp_path / "voted.jsonl")
-        assert run(["vote-ensemble", "--lists", lists, lists, "--k", "10", "--out", voted]) == 0
+        assert run(["vote-ensemble", "--lists", str(lists), str(lists), "--k", "10",
+                    "--out", voted]) == 0
         capsys.readouterr()
         got = read_ranking_lists(voted)
         expect = read_ranking_lists(lists)
         assert [r.gallery_ids for r in got] == [r.gallery_ids for r in expect]
 
-
-
     def test_paper_size_ensembles_match_inprocess(self, tmp_path, capsys):
         """20 distinct seeded members, the size of the paper's ensemble,
-        through `--lists` and `--matrices`. Distances on a grid of 8 values
-        tie often, and each member leaves one query out."""
+        through `--lists` and through `--queries`/`--gallery`. Distances on a
+        grid of 8 values tie often, and each member leaves one query out; each
+        max-ensemble member's gallery repeats 10 vectors 4 times, so its
+        fused distances tie in groups of 4."""
         rng = np.random.default_rng(20)
         qids = tuple(f"q{i:02d}" for i in range(12))
         gids = tuple(f"g{j:03d}" for j in range(40))
-        matrices, member_lists, matrix_paths, list_paths = [], [], [], []
+        member_lists, list_paths = [], []
         for member in range(20):
             m = DistanceMatrix(qids, gids, rng.integers(0, 8, (12, 40)) / np.float32(8))
             lists = [rl for rl in topk(m, 10) if rl.query_id != qids[member % 12]]
-            matrix_paths.append(str(tmp_path / f"d{member}.npz"))
             list_paths.append(str(tmp_path / f"l{member}.jsonl"))
-            save_matrix(m, matrix_paths[-1])
             write_ranking_lists(lists, list_paths[-1])
-            matrices.append(m)
             member_lists.append(lists)
-        assert len({m.values.tobytes() for m in matrices}) == 20
+        assert len({tuple(lists) for lists in member_lists}) == 20
 
         voted = tmp_path / "voted.jsonl"
         assert run(["vote-ensemble", "--lists", *list_paths, "--k", "10", "--out", str(voted)]) == 0
@@ -622,12 +596,66 @@ class TestSubcommands:
         write_ranking_lists(vote_ensemble(member_lists, k=10), inprocess)
         assert voted.read_bytes() == inprocess.read_bytes()
 
-        fused = tmp_path / "fused.npz"
-        assert run(["max-ensemble", "--matrices", *matrix_paths, "--out", str(fused)]) == 0
-        got, want = load_matrix(fused), max_ensemble(matrices)
-        assert (got.query_ids, got.gallery_ids) == (want.query_ids, want.gallery_ids)
-        assert got.values.tobytes() == want.values.tobytes()
+        matrices, query_paths, gallery_paths = [], [], []
+        for member in range(20):
+            queries = l2_normalize(EmbeddingSet(qids, rng.normal(size=(12, 8))))
+            distinct = rng.normal(size=(10, 8))
+            gallery = l2_normalize(EmbeddingSet(gids, distinct[np.arange(40) % 10]))
+            query_paths.append(str(tmp_path / f"q{member}.emb"))
+            gallery_paths.append(str(tmp_path / f"g{member}.emb"))
+            save_embeddings(queries, query_paths[-1])
+            save_embeddings(gallery, gallery_paths[-1])
+            matrices.append(pairwise_cosine_distance(queries, gallery))
+        assert len({m.values.tobytes() for m in matrices}) == 20
+        fused, want = tmp_path / "fused.jsonl", tmp_path / "want.jsonl"
+        assert run(["max-ensemble", "--queries", *query_paths, "--gallery", *gallery_paths,
+                    "--out", str(fused)]) == 0
+        expect = topk(max_ensemble(matrices), DEFAULT_K)
+        write_ranking_lists(expect, want)
+        assert fused.read_bytes() == want.read_bytes()
+        scores = [[s for _, s in rl.entries] for rl in expect]
+        assert all(len(set(row)) < len(row) for row in scores)  # every list has a tie
         capsys.readouterr()
+
+    def test_rerank_equals_one_shard_job(self, synth, tmp_path, capsys):
+        """`rerank` writes the bytes a one-shard `shard` + `coordinate` merges,
+        which are the in-process re-rank's top-k."""
+        params = ["--queries", synth["queries"], "--gallery", synth["gallery"],
+                  "--k1", "6", "--k2", "2", "--lam", "0.3"]
+        reranked, merged, want = (tmp_path / f"{n}.jsonl" for n in ("rerank", "merged", "want"))
+        assert run(["rerank", *params, "--out", str(reranked)]) == 0
+        job = tmp_path / "job"
+        assert run(["shard", *params, "--n-shards", "1", "--job-dir", str(job)]) == 0
+        assert run(["coordinate", "--manifest", str(job / "manifest.json"),
+                    "--out", str(merged)]) == 0
+        capsys.readouterr()
+        matrix = kreciprocal_rerank(load_embeddings(synth["queries"]),
+                                    load_embeddings(synth["gallery"]), RerankParams(6, 2, 0.3))
+        write_ranking_lists(topk(matrix, DEFAULT_K), want)
+        assert reranked.read_bytes() == merged.read_bytes() == want.read_bytes()
+
+    def test_search_map_equals_inprocess_crop_aggregation(self, tmp_path, capsys):
+        """20 parents of 5 crops each, two of them with identical crops, so
+        their aggregated distances tie."""
+        gallery, queries, _ = gen_synthetic(20, 5, 1, 8, 0.3, seed=4)
+        vectors = gallery.vectors.copy()
+        vectors[5:10] = vectors[0:5]  # parent p00001's crops are p00000's
+        gallery = EmbeddingSet(gallery.ids, vectors)
+        crop_map = CropGroupMap({g: "p" + g[1:6] for g in gallery.ids}, scheme="index5crop")
+        q, g, cmap = (str(tmp_path / n) for n in ("q.emb", "g.emb", "map.json"))
+        save_embeddings(queries, q)
+        save_embeddings(gallery, g)
+        save_crop_map(crop_map, cmap)
+        lists, want = tmp_path / "lists.jsonl", tmp_path / "want.jsonl"
+        assert run(["search", "--queries", q, "--gallery", g, "--map", cmap,
+                    "--out", str(lists)]) == 0
+        assert list(ok_line(capsys)["stages"]) == ["load", "distance", "topk", "write"]
+        expect = topk(aggregate_crops(pairwise_cosine_distance(queries, gallery), crop_map),
+                      DEFAULT_K)
+        write_ranking_lists(expect, want)
+        assert lists.read_bytes() == want.read_bytes()
+        (p0, d0), (p1, d1) = expect[0].entries[:2]  # query q00000_000
+        assert (p0, p1) == ("p00000", "p00001") and d0 == d1
 
 
 class TestPipeline:
@@ -739,7 +767,7 @@ class TestPipeline:
                 "name": "rerank", "op": "rerank",
                 "params": {"k1": 6, "k2": 2, "lam": 0.3},
                 "inputs": {"queries": "q.emb", "gallery": "g.emb"},
-                "outputs": {"out": "rr.npz"},
+                "outputs": {"out": "rr.jsonl"},
             },
         ]
         assert run(["pipeline", "--config", self._config(tmp_path, steps)]) == 0
@@ -759,12 +787,10 @@ class TestPipeline:
             "rerank", "--queries", str(manual / "q.emb"),
             "--gallery", str(manual / "g.emb"),
             "--k1", "6", "--k2", "2", "--lam", "0.3",
-            "--out", str(manual / "rr.npz"),
+            "--out", str(manual / "rr.jsonl"),
         ]) == 0
         capsys.readouterr()
-        a = load_matrix(work / "rr.npz")
-        b = load_matrix(manual / "rr.npz")
-        assert a.values.tobytes() == b.values.tobytes()
+        assert (work / "rr.jsonl").read_bytes() == (manual / "rr.jsonl").read_bytes()
 
     def test_unchanged_resume_of_paper_config(self, tmp_path, capsys):
         """An unchanged resume skips every step with file outputs, and each

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import naive_cosine_distance, naive_group_min, naive_topk
 from prodretrieve import search
-from prodretrieve.embed_store import EmbeddingSet, l2_normalize, row_norms
+from prodretrieve.embed_store import EmbeddingSet, l2_normalize, load_embeddings, row_norms
 from prodretrieve.errors import (
-    DimMismatch, InvalidParams, MalformedFile, NotNormalized, UnmappedCropId,
+    DimMismatch, InvalidParams, MagicMismatch, MalformedFile, NotNormalized, UnmappedCropId,
 )
 from prodretrieve.search import (
     MIN_CHUNK,
@@ -18,11 +18,9 @@ from prodretrieve.search import (
     RankingList,
     aggregate_crops,
     load_crop_map,
-    load_matrix,
     pairwise_cosine_distance,
     read_ranking_lists,
     save_crop_map,
-    save_matrix,
     topk,
     write_ranking_lists,
 )
@@ -297,39 +295,18 @@ class TestCropAggregation:
 
 
 class TestOnDiskFormats:
-    def test_matrix_round_trip(self, tmp_path):
-        rng = np.random.default_rng(19)
-        m = DistanceMatrix(
-            ("q0", "q1"), ("g0", "g1", "g2"),
-            rng.random((2, 3)).astype(np.float32),
-        )
-        path = tmp_path / "m.npz"
-        save_matrix(m, path)
-        back = load_matrix(path)
-        assert back.query_ids == m.query_ids
-        assert back.gallery_ids == m.gallery_ids
-        assert back.values.tobytes() == m.values.tobytes()
-
     def test_matrix_ids_round_trip_without_pickle(self, tmp_path):
-        """Non-ASCII ids, ids of unequal lengths and an inner NUL come back
-        exactly, from arrays that load with allow_pickle=False."""
+        """Non-ASCII ids, ids of unequal lengths, an inner NUL and a trailing
+        one come back exactly from the ranking lists of a matrix."""
         qids = ("q", "quéry-ünïcode", "查询", "q\0inner")
-        gids = ("g" * 40, "ガ", "g 2")
-        m = DistanceMatrix(qids, gids, np.arange(12, dtype=np.float32).reshape(4, 3))
-        path = tmp_path / "m.npz"
-        save_matrix(m, path)
-        with np.load(path, allow_pickle=False) as npz:
-            assert [npz[k].dtype.kind for k in ("query_ids", "gallery_ids")] == ["U", "U"]
-        back = load_matrix(path)
-        assert (back.query_ids, back.gallery_ids) == (qids, gids)
-        assert back.values.tobytes() == m.values.tobytes()
-
-    def test_matrix_id_ending_in_nul_refused(self, tmp_path):
-        """Fixed-width unicode would drop the NUL, so the id is not changed."""
-        m = DistanceMatrix(("q",), ("g\0",), np.zeros((1, 1), np.float32))
-        with pytest.raises(MalformedFile, match="NUL"):
-            save_matrix(m, tmp_path / "m.npz")
-        assert not (tmp_path / "m.npz").exists()
+        gids = ("g" * 40, "ガ", "g 2", "g\0")
+        m = DistanceMatrix(qids, gids, np.arange(16, dtype=np.float32).reshape(4, 4))
+        path = tmp_path / "lists.jsonl"
+        write_ranking_lists(topk(m, 4), path)
+        back = read_ranking_lists(path)
+        assert [rl.query_id for rl in back] == list(qids)
+        assert [rl.entries for rl in back] == [rl.entries for rl in topk(m, 4)]
+        assert {g for rl in back for g in rl.gallery_ids} == set(gids)
 
     @pytest.mark.parametrize("query_ids", [
         np.array(["q0", "q1"], dtype=object),
@@ -339,14 +316,18 @@ class TestOnDiskFormats:
         None,
     ], ids=["object", "2-d", "int", "bytes", "absent"])
     def test_foreign_matrix_file_refused(self, tmp_path, query_ids):
-        """The earlier object-array format is refused like any foreign file."""
+        """A distance-matrix .npz, the format `search` once wrote, is refused
+        where ranking lists or embeddings are read, and nothing in it is
+        unpickled."""
         arrays = {"gallery_ids": np.array(["g0"]), "values": np.zeros((2, 1), np.float32)}
         if query_ids is not None:
             arrays["query_ids"] = query_ids
         path = tmp_path / "m.npz"
         np.savez(path, **arrays)
         with pytest.raises(MalformedFile):
-            load_matrix(path)
+            read_ranking_lists(path)
+        with pytest.raises(MagicMismatch):
+            load_embeddings(path)
 
     @pytest.mark.parametrize("text", [
         '{"query": "q1", "ranks": [["g0", 0.5]], "orie',

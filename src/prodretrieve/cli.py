@@ -5,7 +5,8 @@ same outputs, byte-identical results to calling them in-process. The dense
 ops (`search`, `rerank`, `max-ensemble`) write ranking lists of depth
 `search.DEFAULT_K`, never a distance matrix. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 manifest/config error. All randomness takes an
-explicit --seed.
+explicit --seed. The flags that name files are declared once, in
+FILE_FLAGS, which the parser and the `pipeline` runner both read.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import embed_store, ensemble, evalbench, harness, pseudolabel, rerank, search
 from .errors import MalformedFile, ManifestInvalid, ProdRetrieveError
@@ -49,10 +51,47 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _status(outputs, **extra) -> None:
-    line = {"ok": True, "outputs": [str(p) for p in outputs]}
-    line.update(extra)
-    print(json.dumps(line))
+def _status(outputs, **extra) -> dict:
+    """The one-line JSON status an op returns and `run` prints."""
+    return {"ok": True, "outputs": [str(p) for p in outputs], **extra}
+
+
+class FileFlag(NamedTuple):
+    """A flag naming a file, or one or more (nargs "+"), or a directory holding `key_file`."""
+
+    output: bool = False
+    nargs: str | None = None
+    required: bool = True
+    help: str | None = None
+    key_file: str | None = None
+
+
+IN, OUT = FileFlag(), FileFlag(output=True)
+MISSING = FileFlag(output=True, required=False, help="write the missing-query report here")
+MEMBERS = FileFlag(nargs="+", help="EMB1 files, one per member")
+
+# op -> its flags that name files; every other flag is a param. `build_parser` adds
+# them, and `pipeline` takes each step's files from here, never from its config.
+FILE_FLAGS = {
+    "normalize": {"in": IN, "out": OUT},
+    "fuse": {"in": FileFlag(nargs="+", help="EMB1 files, aligned ids"), "out": OUT},
+    "search": {"queries": IN, "gallery": IN, "out": OUT, "map": FileFlag(
+        required=False, help="crop map: reduce crop columns to parents by min before top-k")},
+    "rerank": {"queries": IN, "gallery": IN, "out": OUT},
+    "shard": {"queries": IN, "gallery": IN,
+              "job-dir": FileFlag(output=True, key_file=harness.MANIFEST_NAME)},
+    "worker": {"manifest": IN},
+    "coordinate": {"manifest": IN, "out": OUT, "missing": MISSING},
+    "merge": {"job-dir": IN, "out": OUT, "missing": MISSING},
+    "max-ensemble": {"queries": MEMBERS, "gallery": MEMBERS, "out": OUT},
+    "vote-ensemble": {"lists": FileFlag(nargs="+", help="RankingList .jsonl files"), "out": OUT},
+    "cluster": {"in": IN, "out": OUT},
+    "filter-clusters": {"in": IN, "out": OUT},
+    "assign-labels": {"clusters": IN, "out": OUT},
+    "gen-synth": {"out-gallery": OUT, "out-queries": OUT, "out-gt": OUT},
+    "eval": {"lists": IN, "gt": IN,
+             "gallery": FileFlag(required=False, help="EMB1 file for gallery id validation")},
+}
 
 
 @functools.cache  # `pipeline` parses every step's argv with the same parser
@@ -60,105 +99,66 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="prodretrieve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("normalize", help="l2-normalize an embedding file")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--out", required=True)
+    def add_op(name, help):
+        p = sub.add_parser(name, help=help)
+        for flag, f in FILE_FLAGS[name].items():
+            p.add_argument(f"--{flag}", dest={"in": "inp", "map": "crop_map"}.get(flag),
+                           nargs=f.nargs, required=f.required, help=f.help)
+        return p
 
-    p = sub.add_parser("fuse", help="fuse multi-scale embedding files")
-    p.add_argument("--in", dest="inp", nargs="+", required=True, help="EMB1 files, aligned ids")
-    p.add_argument("--out", required=True)
+    def add_rerank_params(p):  # --k1, --k2 and --lam, defaulting to RerankParams()'s fields
+        for name, default in vars(rerank.RerankParams()).items():
+            p.add_argument(f"--{name}", type=type(default), default=default)
 
-    p = sub.add_parser("search", help="exact cosine search to top-k ranking lists")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--gallery", required=True)
-    p.add_argument("--map", dest="crop_map",
-                   help="crop map: reduce crop columns to parents by min before top-k")
-    p.add_argument("--out", required=True)
+    add_op("normalize", "l2-normalize an embedding file")
+    add_op("fuse", "fuse multi-scale embedding files")
+
+    p = add_op("search", "exact cosine search to top-k ranking lists")
     p.add_argument(
         "--threads", type=_positive_int, default=_cores(),
         help="threads over the fixed query blocks, each with one BLAS thread "
              "(default: the available cores); never changes output bytes",
     )
 
-    p = sub.add_parser("rerank", help="k-reciprocal re-ranking to top-k ranking lists")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--gallery", required=True)
-    p.add_argument("--k1", type=int, default=20)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lam", type=float, default=0.3)
-    p.add_argument("--out", required=True)
+    add_rerank_params(add_op("rerank", "k-reciprocal re-ranking to top-k ranking lists"))
 
-    p = sub.add_parser("shard", help="create a sharded rerank job directory")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--gallery", required=True)
+    p = add_op("shard", "create a sharded rerank job directory")
     p.add_argument("--n-shards", type=int, required=True)
-    p.add_argument("--k1", type=int, default=20)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lam", type=float, default=0.3)
+    add_rerank_params(p)
     p.add_argument("--depth", type=int, default=search.DEFAULT_K)
-    p.add_argument("--job-dir", required=True)
 
-    p = sub.add_parser("worker", help="run one shard of a rerank job")
-    p.add_argument("--manifest", required=True)
+    p = add_op("worker", "run one shard of a rerank job")
     p.add_argument("--shard", type=int, required=True)
     p.add_argument("--inject-fail", action="store_true")
 
-    p = sub.add_parser(
-        "coordinate", help="run all shards as forked worker processes, then merge"
-    )
-    p.add_argument("--manifest", required=True)
+    p = add_op("coordinate", "run all shards as forked worker processes, then merge")
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--fail-policy", choices=["tolerate", "strict"], default="tolerate")
-    p.add_argument("--out", required=True)
-    p.add_argument("--missing", help="write the missing-query report here")
 
-    p = sub.add_parser("merge", help="merge whatever shard files exist")
-    p.add_argument("--job-dir", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--missing", help="write the missing-query report here")
+    add_op("merge", "merge whatever shard files exist")
+    add_op("max-ensemble", "score-level maximum ensemble to top-k lists")
 
-    p = sub.add_parser("max-ensemble", help="score-level maximum ensemble to top-k lists")
-    p.add_argument("--queries", nargs="+", required=True, help="EMB1 files, one per member")
-    p.add_argument("--gallery", nargs="+", required=True, help="EMB1 files, one per member")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("vote-ensemble", help="Borda voting over ranking lists")
-    p.add_argument("--lists", nargs="+", required=True, help="RankingList .jsonl files")
+    p = add_op("vote-ensemble", "Borda voting over ranking lists")
     p.add_argument("--k", type=int, default=search.DEFAULT_K)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("cluster", help="threshold-graph connected components")
-    p.add_argument("--in", dest="inp", required=True)
+    p = add_op("cluster", "threshold-graph connected components")
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("filter-clusters", help="drop low-confidence (large) clusters")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--max-size", type=int, default=10)
-    p.add_argument("--out", required=True)
+    p = add_op("filter-clusters", "drop low-confidence (large) clusters")
+    p.add_argument("--max-size", type=int, default=pseudolabel.CONFIDENT_MAX_SIZE)
 
-    p = sub.add_parser("assign-labels", help="clusters + sampled singletons -> classes")
-    p.add_argument("--clusters", required=True)
+    p = add_op("assign-labels", "clusters + sampled singletons -> classes")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen-synth", help="seeded synthetic retrieval benchmark")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--gallery-per-class", type=int, required=True)
-    p.add_argument("--queries-per-class", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p = add_op("gen-synth", "seeded synthetic retrieval benchmark")
+    for flag in ("classes", "gallery-per-class", "queries-per-class", "dim"):
+        p.add_argument(f"--{flag}", type=int, required=True)
     p.add_argument("--noise", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-gallery", required=True)
-    p.add_argument("--out-queries", required=True)
-    p.add_argument("--out-gt", required=True)
 
-    p = sub.add_parser("eval", help="MAR@k of ranking lists against ground truth")
-    p.add_argument("--lists", required=True)
-    p.add_argument("--gt", required=True)
+    p = add_op("eval", "MAR@k of ranking lists against ground truth")
     p.add_argument("--k", type=int, default=search.DEFAULT_K)
-    p.add_argument("--gallery", help="EMB1 file for gallery id validation")
     p.add_argument("--per-query", action="store_true")
 
     p = sub.add_parser("pipeline", help="run a multi-step pipeline config")
@@ -171,29 +171,29 @@ def build_parser() -> _Parser:
 
 # --- subcommand handlers ---
 
-def cmd_normalize(args) -> None:
+def cmd_normalize(args) -> dict:
     emb = embed_store.l2_normalize(embed_store.load_embeddings(args.inp))
     embed_store.save_embeddings(emb, args.out)
-    _status([args.out])
+    return _status([args.out])
 
 
-def cmd_fuse(args) -> None:
+def cmd_fuse(args) -> dict:
     members = [(os.path.basename(p), embed_store.load_embeddings(p)) for p in args.inp]
     fused = embed_store.fuse_multiscale(embed_store.ScaleGroup(tuple(members)))
     embed_store.save_embeddings(fused, args.out)
-    _status([args.out])
+    return _status([args.out])
 
 
-def _write_topk(matrix, out, stages) -> None:
+def _write_topk(matrix, out, stages) -> dict:
     """Each query's top DEFAULT_K of `matrix`, written to `out` as ranking lists."""
     with stage("topk", stages):
         lists = search.topk(matrix, search.DEFAULT_K)
     with stage("write", stages):
         search.write_ranking_lists(lists, out)
-    _status([out], stages=stages)
+    return _status([out], stages=stages)
 
 
-def cmd_search(args) -> None:
+def cmd_search(args) -> dict:
     stages = {}
     with stage("load", stages):
         queries = embed_store.load_embeddings(args.queries)
@@ -203,58 +203,54 @@ def cmd_search(args) -> None:
         matrix = search.pairwise_cosine_distance(queries, gallery, threads=args.threads)
         if crop_map is not None:
             matrix = search.aggregate_crops(matrix, crop_map)
-    _write_topk(matrix, args.out, stages)
+    return _write_topk(matrix, args.out, stages)
 
 
-def cmd_rerank(args) -> None:
+def cmd_rerank(args) -> dict:
     stages = {}
     params = rerank.RerankParams(k1=args.k1, k2=args.k2, lam=args.lam)
     with stage("load", stages):
         queries = embed_store.load_embeddings(args.queries)
         gallery = embed_store.load_embeddings(args.gallery)
     matrix = rerank.kreciprocal_rerank(queries, gallery, params, stages=stages)
-    _write_topk(matrix, args.out, stages)
+    return _write_topk(matrix, args.out, stages)
 
 
-def cmd_shard(args) -> None:
+def cmd_shard(args) -> dict:
     params = rerank.RerankParams(k1=args.k1, k2=args.k2, lam=args.lam)
-    harness.create_job(
-        args.job_dir, args.queries, args.gallery, params,
-        n_shards=args.n_shards, depth=args.depth,
-    )
-    _status([os.path.join(args.job_dir, harness.MANIFEST_NAME)])
+    harness.create_job(args.job_dir, args.queries, args.gallery, params,
+                       n_shards=args.n_shards, depth=args.depth)
+    return _status([os.path.join(args.job_dir, harness.MANIFEST_NAME)])
 
 
-def cmd_worker(args) -> None:
+def cmd_worker(args) -> dict:
     out = harness.worker_run(args.manifest, args.shard, inject_fail=args.inject_fail)
-    _status([out])
+    return _status([out])
 
 
-def cmd_coordinate(args) -> None:
+def cmd_coordinate(args) -> dict:
     stages = {}
     results, report = harness.coordinator_run(
-        args.manifest, parallelism=args.parallelism, fail_policy=args.fail_policy,
-        stages=stages,
-    )
-    _write_merge_outputs(results, report, args.out, args.missing, stages=stages)
+        args.manifest, parallelism=args.parallelism, fail_policy=args.fail_policy, stages=stages)
+    return _write_merge_outputs(results, report, args.out, args.missing, stages=stages)
 
 
-def cmd_merge(args) -> None:
+def cmd_merge(args) -> dict:
     manifest = harness.load_manifest(os.path.join(args.job_dir, harness.MANIFEST_NAME))
     results, report = rerank.merge_shard_results(manifest.shards, args.job_dir)
-    _write_merge_outputs(results, report, args.out, args.missing)
+    return _write_merge_outputs(results, report, args.out, args.missing)
 
 
-def _write_merge_outputs(results, report, out, missing_path, **extra) -> None:
+def _write_merge_outputs(results, report, out, missing_path, **extra) -> dict:
     search.write_ranking_lists(results, out)
     outputs = [out]
     if missing_path:
         write_json(missing_path, report.to_dict())
         outputs.append(missing_path)
-    _status(outputs, n_missing=len(report.missing_queries), **extra)
+    return _status(outputs, n_missing=len(report.missing_queries), **extra)
 
 
-def cmd_max_ensemble(args) -> None:
+def cmd_max_ensemble(args) -> dict:
     if len(args.queries) != len(args.gallery):
         raise SystemExit(_usage("--queries and --gallery need one file per member each"))
     matrices = (  # lazy: max_ensemble folds each member in before the next is searched
@@ -264,42 +260,43 @@ def cmd_max_ensemble(args) -> None:
     stages = {}
     with stage("ensemble", stages):
         matrix = ensemble.max_ensemble(matrices)
-    _write_topk(matrix, args.out, stages)
+    return _write_topk(matrix, args.out, stages)
 
 
-def cmd_vote_ensemble(args) -> None:
+def cmd_vote_ensemble(args) -> dict:
     if args.k < 1:
         raise SystemExit(_usage(f"--k must be >= 1, got {args.k}"))
     model_lists = (search.read_ranking_lists(p) for p in args.lists)  # read in turn
     fused = ensemble.vote_ensemble(model_lists, k=args.k)
     search.write_ranking_lists(fused, args.out)
-    _status([args.out])
+    return _status([args.out])
 
 
-def cmd_cluster(args) -> None:
+def cmd_cluster(args) -> dict:
     stages = {}
     with stage("load", stages):
         emb = embed_store.load_embeddings(args.inp)
     result = pseudolabel.cluster_features(emb, args.threshold, stages)
     with stage("write", stages):
         pseudolabel.save_clusters(result, args.out)
-    _status([args.out], n_clusters=len(result.clusters), n_pool=len(result.unclustered_pool),
-            stages=stages)
+    return _status([args.out], n_clusters=len(result.clusters),
+                   n_pool=len(result.unclustered_pool), stages=stages)
 
 
-def cmd_filter_clusters(args) -> None:
+def cmd_filter_clusters(args) -> dict:
     result = pseudolabel.filter_confident(
         pseudolabel.load_clusters(args.inp), max_size=args.max_size
     )
     pseudolabel.save_clusters(result, args.out)
-    _status([args.out], n_clusters=len(result.clusters), n_pool=len(result.unclustered_pool))
+    return _status([args.out], n_clusters=len(result.clusters),
+                   n_pool=len(result.unclustered_pool))
 
 
-def cmd_assign_labels(args) -> None:
+def cmd_assign_labels(args) -> dict:
     kept = pseudolabel.load_clusters(args.clusters)
     assignment = pseudolabel.assign_pseudo_labels(kept, args.target, args.seed)
     pseudolabel.save_assignment(assignment, args.out)
-    _status(
+    return _status(
         [args.out],
         n_classes=assignment.n_classes,
         n_cluster_classes=assignment.n_cluster_classes,
@@ -308,7 +305,7 @@ def cmd_assign_labels(args) -> None:
     )
 
 
-def cmd_gen_synth(args) -> None:
+def cmd_gen_synth(args) -> dict:
     stages = {}
     with stage("draw", stages):
         gallery, queries, gt = evalbench.gen_synthetic(
@@ -318,10 +315,10 @@ def cmd_gen_synth(args) -> None:
         embed_store.save_embeddings(gallery, args.out_gallery)
         embed_store.save_embeddings(queries, args.out_queries)
         evalbench.save_ground_truth(gt, args.out_gt)
-    _status([args.out_gallery, args.out_queries, args.out_gt], stages=stages)
+    return _status([args.out_gallery, args.out_queries, args.out_gt], stages=stages)
 
 
-def cmd_eval(args) -> None:
+def cmd_eval(args) -> dict:
     stages = {}
     with stage("load", stages):
         lists = search.read_ranking_lists(args.lists)
@@ -331,15 +328,11 @@ def cmd_eval(args) -> None:
             gallery_ids = embed_store.load_embeddings(args.gallery).ids
     with stage("eval", stages):
         report = evalbench.mar_at_k(lists, gt, k=args.k, gallery_ids=gallery_ids)
-    _status([], **report.to_dict(include_per_query=args.per_query), stages=stages)
+    return _status([], **report.to_dict(include_per_query=args.per_query), stages=stages)
 
 
-# subcommand -> handler: `max-ensemble` runs cmd_max_ensemble. `pipeline`
-# runs the others as its steps, so it is dispatched apart and is no step's op.
-HANDLERS = {
-    name[4:].replace("_", "-"): fn for name, fn in globals().items()
-    if name.startswith("cmd_") and name != "cmd_pipeline"
-}
+# step op -> handler (`max-ensemble` runs cmd_max_ensemble); `pipeline` is dispatched apart
+HANDLERS = {op: globals()["cmd_" + op.replace("-", "_")] for op in FILE_FLAGS}
 
 
 def _usage(message: str) -> int:
@@ -350,18 +343,25 @@ def _usage(message: str) -> int:
 # --- pipeline runner ---
 
 def _step_argv(step: dict, base: str) -> tuple[list, list, list]:
-    """Build (argv, input paths, output paths) for one pipeline step."""
-    op = step.get("op")
-    if op not in HANDLERS:
-        raise PipelineConfigError(f"step {step.get('name')!r}: unknown op {op!r}")
+    """(argv, input paths, output paths) of one pipeline step, each flag in
+    the group its FILE_FLAGS role gives it; a directory flag's path is its key_file."""
+    name, op = step.get("name"), step.get("op")
+    if op not in FILE_FLAGS:
+        raise PipelineConfigError(f"step {name!r}: unknown op {op!r}")
     argv = [op]
     inputs, outputs = [], []
-    for kind in ("params", "inputs", "outputs"):
-        for key, value in step.get(kind, {}).items():
+    for group in ("params", "inputs", "outputs"):
+        for key, value in step.get(group, {}).items():
+            spec = FILE_FLAGS[op].get(key)
+            belongs = "params" if spec is None else "outputs" if spec.output else "inputs"
+            if group != belongs:
+                raise PipelineConfigError(f"step {name!r}: --{key} of {op} belongs under "
+                                          f"{belongs!r}, not {group!r}")
             values = value if isinstance(value, list) else [value]
-            if kind != "params":
+            if spec:
                 values = [os.path.join(base, str(v)) for v in values]  # an absolute v stays
-                (inputs if kind == "inputs" else outputs).extend(values)
+                (outputs if spec.output else inputs).extend(
+                    os.path.join(v, spec.key_file) if spec.key_file else v for v in values)
             argv.append(f"--{key}")
             if not (len(values) == 1 and values[0] is True):  # not a bare flag
                 argv.extend(str(v) for v in values)
@@ -376,18 +376,13 @@ def _plan(args, config) -> tuple[str, list]:
     """The base directory and each step's (name, argv, inputs, outputs)."""
     here = os.path.dirname(os.path.abspath(args.config))  # a relative workdir's base
     base = os.path.join(here, args.workdir or config.get("workdir") or "")
-    plans = []
-    produced = set()
+    plans, produced = [], set()
     for step in config.get("steps", []):
         argv, inputs, outputs = _step_argv(step, base)
         for path in inputs:
-            # a file under a directory produced earlier (e.g. a job dir's
-            # manifest) counts as produced
-            under_produced = any(
-                path == p or path.startswith(p.rstrip(os.sep) + os.sep)
-                for p in produced
-            )
-            if not under_produced and not os.path.exists(path):
+            # an earlier step's output, or a directory holding one (a job dir)
+            made = any(p == path or p.startswith(path.rstrip(os.sep) + os.sep) for p in produced)
+            if not made and not os.path.exists(path):
                 raise PipelineConfigError(
                     f"step {step.get('name')!r}: input {path} is neither an "
                     "existing file nor an earlier step's output"
@@ -404,7 +399,7 @@ def _step_key(previous: str, argv: list, paths: list) -> str:
     return sha256_hex(compact_json([previous, argv, digests]).encode())
 
 
-def cmd_pipeline(args) -> None:
+def cmd_pipeline(args) -> dict:
     base, plans = read_json(args.config, functools.partial(_plan, args), PipelineConfigError)
     os.makedirs(base, exist_ok=True)
     state_path = os.path.join(base, ".pipeline_state.json")
@@ -414,13 +409,13 @@ def cmd_pipeline(args) -> None:
     state, key = {}, ""  # step key -> step name, written anew: no earlier key lingers
 
     for name, argv, inputs, outputs in plans:
-        paths = inputs + outputs  # a step with a directory (shard) or no output (eval) runs
+        paths = inputs + outputs  # a step with no output (eval) or a directory input (merge) runs
         skippable = args.resume and outputs and all(map(os.path.isfile, paths))
         if skippable and (new_key := _step_key(key, argv, paths)) in stored:
             print(json.dumps({"step": name, "skipped": True}))
         else:
             write_json(state_path, state)  # the steps done so far, should this one fail
-            code = run(argv)
+            code = run(argv, step=name)
             if code != EXIT_OK:
                 print(f"pipeline step {name!r} failed with exit {code}", file=sys.stderr)
                 raise SystemExit(code)
@@ -428,22 +423,21 @@ def cmd_pipeline(args) -> None:
         key = new_key
         state[key] = name
     write_json(state_path, state)
-    _status([p for *_, outputs in plans for p in outputs], steps=len(plans))
+    return _status([p for *_, outputs in plans for p in outputs], steps=len(plans))
 
 
 # --- entry ---
 
-def run(argv=None) -> int:
+def run(argv=None, step=None) -> int:
+    """Run one command and print its status line, naming `step` if given; return its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "pipeline":
-            cmd_pipeline(args)
-        else:
-            HANDLERS[args.command](args)
+        line = (cmd_pipeline if args.command == "pipeline" else HANDLERS[args.command])(args)
+        print(json.dumps(line if step is None else {"step": step, **line}))
     except SystemExit as exc:
         return int(exc.code or 0)
     except ProdRetrieveError as exc:

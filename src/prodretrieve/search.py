@@ -17,7 +17,9 @@ following the chunk-bound pruning of Johnson, Douze and Jegou,
 """
 from __future__ import annotations
 
+import contextlib
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -101,9 +103,7 @@ class CropGroupMap:
         if self.scheme not in CROP_SCHEMES:
             raise ValueError(f"unknown crop scheme {self.scheme!r}")
         arity = CROP_SCHEMES[self.scheme]
-        counts = {}
-        for parent in self.crop_to_parent.values():
-            counts[parent] = counts.get(parent, 0) + 1
+        counts = Counter(self.crop_to_parent.values())
         if not counts:
             raise ValueError("crop map is empty")
         if arity is not None:
@@ -177,7 +177,9 @@ def pairwise_cosine_distance(
     starts = range(0, nq, QUERY_BLOCK)
     if threads == 1:
         for start in starts:
-            run_block(start)
+            # a 1-row block goes to BLAS's gemv, whose bits change with its thread count
+            with blas.one_blas_thread() if nq - start == 1 else contextlib.nullcontext():
+                run_block(start)
     else:
         with blas.one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_block, starts))
@@ -269,22 +271,25 @@ def aggregate_crops(matrix: DistanceMatrix, crop_map: CropGroupMap) -> DistanceM
     """Reduce crop-variant columns to parents by minimum distance.
 
     The best-matching local crop represents its parent image; parents are
-    ordered by the first appearance of any of their crops.
+    ordered by the first appearance of any of their crops. Columns sorted
+    stably by parent are reduced by one `np.minimum.reduceat` per QUERY_BLOCK.
     """
-    parents = []
-    cols_of = {}
+    index = {}  # parent -> its position in first-appearance order
+    codes = np.empty(len(matrix.gallery_ids), dtype=np.intp)
     for j, gid in enumerate(matrix.gallery_ids):
         parent = crop_map.crop_to_parent.get(gid)
         if parent is None:
             raise UnmappedCropId(f"gallery id {gid!r} has no parent in crop map")
-        if parent not in cols_of:
-            cols_of[parent] = []
-            parents.append(parent)
-        cols_of[parent].append(j)
-    out = np.empty((len(matrix.query_ids), len(parents)), dtype=np.float32)
-    for pi, parent in enumerate(parents):
-        out[:, pi] = matrix.values[:, cols_of[parent]].min(axis=1)
-    return DistanceMatrix(matrix.query_ids, tuple(parents), out)
+        codes[j] = index.setdefault(parent, len(index))
+    order = np.argsort(codes, kind="stable")
+    starts = np.searchsorted(codes[order], np.arange(len(index)))
+    grouped = bool((order == np.arange(len(order))).all())  # no gather needed
+    out = np.empty((len(matrix.query_ids), len(index)), dtype=np.float32)
+    for start in range(0, len(out), QUERY_BLOCK):
+        block = matrix.values[start:start + QUERY_BLOCK]
+        out[start:start + QUERY_BLOCK] = np.minimum.reduceat(
+            block if grouped else np.take(block, order, axis=1), starts, axis=1)
+    return DistanceMatrix(matrix.query_ids, tuple(index), out)
 
 
 # --- on-disk formats ---

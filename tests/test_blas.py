@@ -171,6 +171,28 @@ class TestSearchPool:
         assert threading.active_count() == alive
 
 
+    @needs_control
+    def test_one_row_block_at_three_blas_threads(self):
+        """A 1-row block goes to BLAS's gemv, whose bits at 3 threads
+        differed from 1 thread on this instance (the last block of 257
+        rows); it runs on one BLAS thread, and the count is restored."""
+        rng = np.random.default_rng(1)
+        g, q = (l2_normalize(EmbeddingSet([f"{tag}{i}" for i in range(n)], rng.normal(size=(n, 64))))
+                for tag, n in (("g", 20000), ("q", QUERY_BLOCK + 1)))
+        with blas.one_blas_thread():
+            want = pairwise_cosine_distance(q, g).values.tobytes()
+        saved = [get() for get, _ in blas.controls()]
+        try:
+            for _, set_ in blas.controls():
+                set_(3)
+            got = pairwise_cosine_distance(q, g).values.tobytes()
+            assert [get() for get, _ in blas.controls()] == [3] * len(saved)
+        finally:
+            for (_, set_), count in zip(blas.controls(), saved):
+                set_(count)
+        assert got == want
+
+
 def index_arrays(index):
     return [(f.name, a.dtype, a.shape, a.tobytes())
             for f in fields(NeighbourIndex)[3:] for a in [getattr(index, f.name)]]

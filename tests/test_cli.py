@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -20,12 +22,13 @@ from prodretrieve.search import (
 
 PAPER_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "paper_pipeline.json")
 
-# what an unchanged `--resume` of the paper config skips: every step whose
-# outputs are files; the `shard` steps (a directory) and `eval` (none) re-run
+# what an unchanged `--resume` of the paper config skips: every step with
+# outputs, `shard` keyed by the manifest it writes; `eval` (none) re-runs
 PAPER_SKIPPED = [
     "gen-scale-400", "gen-scale-512", "gen-scale-600", "normalize-queries",
-    "fuse-gallery", "fuse-queries", "search-fused", "rerank-fused",
-    "rerank-s400", "rerank-s512", "rerank-s600", "vote-scales",
+    "fuse-gallery", "fuse-queries", "search-fused", "shard-fused", "rerank-fused",
+    "shard-s400", "rerank-s400", "shard-s512", "rerank-s512",
+    "shard-s600", "rerank-s600", "vote-scales",
 ]
 
 
@@ -745,6 +748,104 @@ class TestPipeline:
         capsys.readouterr()
         assert len(built) == 1
 
+    def test_file_flag_under_params_is_3_before_any_step(self, tmp_path, capsys):
+        """`normalize` with its `in` under params, resumed after `g.emb` is
+        drawn again, once printed the step skipped and kept a stale `gn.emb`."""
+        work = tmp_path / "work"
+        work.mkdir()
+        save_embeddings(gen_synthetic(3, 2, 1, 8, 0.1, seed=2)[0], str(work / "g.emb"))
+        assert run(["normalize", "--in", str(work / "g.emb"), "--out", str(work / "gn.emb")]) == 0
+        before = (work / "gn.emb").read_bytes()
+        cfg = self._config(tmp_path, [{"name": "norm", "op": "normalize",
+                                       "params": {"in": "g.emb"}, "outputs": {"out": "gn.emb"}}])
+        capsys.readouterr()
+        for seed, resume in ((5, []), (6, ["--resume"])):
+            assert run(["pipeline", "--config", cfg, *resume]) == 3
+            prefix = "PipelineConfigError: step 'norm': --in of normalize belongs under 'inputs'"
+            assert _one_line_error(capsys, prefix).out == ""
+            save_embeddings(gen_synthetic(3, 2, 1, 8, 0.1, seed=seed)[0], str(work / "g.emb"))
+        assert (work / "gn.emb").read_bytes() == before
+        assert not (work / ".pipeline_state.json").exists()
+
+    @pytest.mark.parametrize("op,flag,value,group,belongs", [
+        ("normalize", "in", "g.emb", "params", "inputs"),  # one file
+        ("fuse", "in", ["a.emb", "b.emb"], "params", "inputs"),  # one or more
+        ("search", "map", "crops.json", "params", "inputs"),  # optional
+        ("coordinate", "missing", "missing.json", "params", "outputs"),  # optional output
+        ("shard", "job-dir", "job", "params", "outputs"),  # a job directory
+        ("normalize", "out", "gn.emb", "inputs", "outputs"),
+        ("cluster", "threshold", 0.8, "inputs", "params"),
+        ("eval", "k", 10, "outputs", "params"),
+    ])
+    def test_misfiled_flag_is_3(self, tmp_path, capsys, op, flag, value, group, belongs):
+        """Each flag's group comes from its op's FILE_FLAGS, never from the
+        config; the misfiled step is refused before the step ahead of it runs."""
+        gen = {"name": "gen", "op": "gen-synth",
+               "params": {"classes": 2, "gallery-per-class": 2, "queries-per-class": 1,
+                          "dim": 4, "noise": 0.1, "seed": 1},
+               "outputs": {"out-gallery": "g.emb", "out-queries": "q.emb", "out-gt": "gt.jsonl"}}
+        cfg = self._config(tmp_path, [gen, {"name": "bad", "op": op, group: {flag: value}}])
+        assert run(["pipeline", "--config", cfg]) == 3
+        message = f"PipelineConfigError: step 'bad': --{flag} of {op} belongs under {belongs!r}"
+        assert _one_line_error(capsys, message).out == ""
+        assert not (tmp_path / "work").exists()
+
+    def test_file_flags_are_the_parsers_path_flags(self):
+        """Every flag of a step op that takes untyped values (a path) is in
+        FILE_FLAGS with its nargs and requiredness, and no other flag is."""
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) - {"pipeline"} == set(cli.FILE_FLAGS) == set(cli.HANDLERS)
+        for op, files in cli.FILE_FLAGS.items():
+            path_flags = {
+                a.option_strings[0][2:]: (a.nargs, a.required)
+                for a in sub.choices[op]._actions
+                if a.nargs != 0 and a.type is None and a.choices is None
+            }
+            assert path_flags == {f: (s.nargs, s.required) for f, s in files.items()}, op
+
+    def test_status_lines_name_their_steps(self, tmp_path, capsys):
+        steps = [
+            {"name": "gen", "op": "gen-synth",
+             "params": {"classes": 3, "gallery-per-class": 2, "queries-per-class": 1,
+                        "dim": 8, "noise": 0.1, "seed": 2},
+             "outputs": {"out-gallery": "g.emb", "out-queries": "q.emb", "out-gt": "gt.jsonl"}},
+            {"name": "norm", "op": "normalize",
+             "inputs": {"in": "q.emb"}, "outputs": {"out": "qn.emb"}},
+        ]
+        cfg = self._config(tmp_path, steps)
+        assert run(["pipeline", "--config", cfg]) == 0
+        (tmp_path / "work" / "qn.emb").unlink()
+        assert run(["pipeline", "--config", cfg, "--resume"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(line.get("step"), line.get("ok"), line.get("skipped")) for line in lines] == [
+            ("gen", True, None), ("norm", True, None), (None, True, None),
+            ("gen", None, True), ("norm", True, None), (None, True, None),
+        ]
+        assert run(["normalize", "--in", str(tmp_path / "work" / "q.emb"),
+                    "--out", str(tmp_path / "qn.emb")]) == 0
+        assert "step" not in ok_line(capsys)  # only a pipeline step names itself
+
+    def test_shard_then_merge_plans_in_a_fresh_workdir(self, tmp_path, capsys):
+        """A job directory counts as produced by its `shard` step, whose
+        key file is the manifest in it."""
+        steps = [
+            {"name": "gen", "op": "gen-synth",
+             "params": {"classes": 3, "gallery-per-class": 3, "queries-per-class": 1,
+                        "dim": 8, "noise": 0.1, "seed": 2},
+             "outputs": {"out-gallery": "g.emb", "out-queries": "q.emb", "out-gt": "gt.jsonl"}},
+            {"name": "shard", "op": "shard", "params": {"n-shards": 2, "k1": 4, "k2": 2},
+             "inputs": {"queries": "q.emb", "gallery": "g.emb"}, "outputs": {"job-dir": "job"}},
+            *({"name": f"worker{i}", "op": "worker", "params": {"shard": i},
+               "inputs": {"manifest": "job/manifest.json"}} for i in range(2)),
+            {"name": "merge", "op": "merge", "inputs": {"job-dir": "job"},
+             "outputs": {"out": "merged.jsonl"}},
+        ]
+        assert run(["pipeline", "--config", self._config(tmp_path, steps)]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert lines[-2]["n_missing"] == 0  # the merge step's line
+        assert (tmp_path / "work" / "merged.jsonl").is_file()
+
     def test_step_argv_bare_flag(self):
         """`true` is a bare flag; 1, though equal to True, is a value."""
         step = {"op": "eval", "params": {"per-query": True, "k": 1},
@@ -793,8 +894,8 @@ class TestPipeline:
         assert (work / "rr.jsonl").read_bytes() == (manual / "rr.jsonl").read_bytes()
 
     def test_unchanged_resume_of_paper_config(self, tmp_path, capsys):
-        """An unchanged resume skips every step with file outputs, and each
-        `shard` step, which runs again, writes the same manifest bytes."""
+        """An unchanged resume skips every step with outputs, the four
+        `shard` steps too, and leaves every file's bytes as they were."""
         cfg, work = paper_config(tmp_path / "paper.json"), tmp_path / "work"
         assert run(["pipeline", "--config", cfg, "--workdir", str(work)]) == 0
         manifests = {p: p.read_bytes() for p in work.glob("job_*/manifest.json")}
@@ -806,6 +907,38 @@ class TestPipeline:
         assert len(manifests) == 4
         assert {p: p.read_bytes() for p in manifests} == manifests
         assert workdir_files(work) == before
+
+    def test_edited_fused_queries_rerun_shard_and_coordinate(self, tmp_path, capsys):
+        """The `shard` step is keyed by the manifest it writes, so it is
+        skipped while its inputs hold, and an edited input re-runs it and
+        the `coordinate` step after it, as a fresh run would write them."""
+        paper = tmp_path / "paper"
+        assert run(["pipeline", "--config", paper_config(tmp_path / "paper.json"),
+                    "--workdir", str(paper)]) == 0
+        with open(PAPER_CONFIG) as fh:
+            steps = [s for s in json.load(fh)["steps"] if s["name"] in ("shard-fused", "rerank-fused")]
+        resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+        for work in (resumed, fresh):
+            work.mkdir()
+            shutil.copy(paper / "g_fused.emb", work)
+        shutil.copy(paper / "q_fused.emb", resumed)
+        cfg = tmp_path / "fused.json"
+        cfg.write_text(json.dumps({"steps": steps}))
+        assert run(["pipeline", "--config", str(cfg), "--workdir", str(resumed)]) == 0
+        capsys.readouterr()
+        assert run(["pipeline", "--config", str(cfg), "--workdir", str(resumed), "--resume"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            '{"step": "shard-fused", "skipped": true}', '{"step": "rerank-fused", "skipped": true}']
+        queries = load_embeddings(str(paper / "q_fused.emb"))
+        edited = EmbeddingSet(queries.ids[::-1], queries.vectors[::-1])
+        for work in (resumed, fresh):
+            save_embeddings(edited, str(work / "q_fused.emb"))
+        assert run(["pipeline", "--config", str(cfg), "--workdir", str(resumed), "--resume"]) == 0
+        assert run(["pipeline", "--config", str(cfg), "--workdir", str(fresh)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        ran = [json.loads(line).get("step") for line in out[:3]]
+        assert ran == ["shard-fused", "rerank-fused", None] and '"skipped"' not in out[:3]
+        assert workdir_files(resumed) == workdir_files(fresh)
 
     @pytest.mark.parametrize("step,param,value", [
         ("shard-fused", "k1", 8),  # rerank-fused was skipped, its k1 = 20 lists kept

@@ -273,6 +273,19 @@ class TestCropAggregation:
         assert list(out.gallery_ids) == expect_parents
         np.testing.assert_allclose(out.values, expect, atol=0)
 
+    def test_spread_and_tied_crops_match_oracle(self):
+        """A parent's crops far apart, whole query blocks of rows, and equal
+        values across parents give the oracle's parents and values exactly."""
+        rng = np.random.default_rng(19)
+        crop_ids = tuple(f"c{j:03d}" for j in range(60))
+        crop_to_parent = {c: f"p{(j * 7) % 13}" for j, c in enumerate(crop_ids)}
+        vals = rng.choice(np.array([0.0, 0.25, 0.5, 2.0], np.float32), (QUERY_BLOCK + 3, 60))
+        m = DistanceMatrix(tuple(f"q{i}" for i in range(len(vals))), crop_ids, vals)
+        out = aggregate_crops(m, CropGroupMap(crop_to_parent))
+        expect_parents, expect = naive_group_min(vals.tolist(), crop_ids, crop_to_parent)
+        assert list(out.gallery_ids) == expect_parents
+        assert out.values.tobytes() == np.array(expect, np.float32).tobytes()
+
     def test_monotone_in_extra_crop(self):
         rng = np.random.default_rng(18)
         vals = rng.random((3, 4)).astype(np.float32)

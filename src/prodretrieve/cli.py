@@ -354,6 +354,9 @@ def _step_argv(step: dict, base: str) -> tuple[list, list, list]:
         for key, value in step.get(group, {}).items():
             spec = FILE_FLAGS[op].get(key)
             belongs = "params" if spec is None else "outputs" if spec.output else "inputs"
+            if spec is None and group != "params":
+                raise PipelineConfigError(f"step {name!r}: --{key} is not a file flag "
+                                          f"of {op}, so it cannot go under {group!r}")
             if group != belongs:
                 raise PipelineConfigError(f"step {name!r}: --{key} of {op} belongs under "
                                           f"{belongs!r}, not {group!r}")

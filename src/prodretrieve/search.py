@@ -271,25 +271,22 @@ def aggregate_crops(matrix: DistanceMatrix, crop_map: CropGroupMap) -> DistanceM
     """Reduce crop-variant columns to parents by minimum distance.
 
     The best-matching local crop represents its parent image; parents are
-    ordered by the first appearance of any of their crops. Columns sorted
-    stably by parent are reduced by one `np.minimum.reduceat` per QUERY_BLOCK.
+    ordered by the first appearance of any of their crops.
     """
-    index = {}  # parent -> its position in first-appearance order
-    codes = np.empty(len(matrix.gallery_ids), dtype=np.intp)
+    parents = []
+    cols_of = {}
     for j, gid in enumerate(matrix.gallery_ids):
         parent = crop_map.crop_to_parent.get(gid)
         if parent is None:
             raise UnmappedCropId(f"gallery id {gid!r} has no parent in crop map")
-        codes[j] = index.setdefault(parent, len(index))
-    order = np.argsort(codes, kind="stable")
-    starts = np.searchsorted(codes[order], np.arange(len(index)))
-    grouped = bool((order == np.arange(len(order))).all())  # no gather needed
-    out = np.empty((len(matrix.query_ids), len(index)), dtype=np.float32)
-    for start in range(0, len(out), QUERY_BLOCK):
-        block = matrix.values[start:start + QUERY_BLOCK]
-        out[start:start + QUERY_BLOCK] = np.minimum.reduceat(
-            block if grouped else np.take(block, order, axis=1), starts, axis=1)
-    return DistanceMatrix(matrix.query_ids, tuple(index), out)
+        if parent not in cols_of:
+            cols_of[parent] = []
+            parents.append(parent)
+        cols_of[parent].append(j)
+    out = np.empty((len(matrix.query_ids), len(parents)), dtype=np.float32)
+    for pi, parent in enumerate(parents):
+        out[:, pi] = matrix.values[:, cols_of[parent]].min(axis=1)
+    return DistanceMatrix(matrix.query_ids, tuple(parents), out)
 
 
 # --- on-disk formats ---

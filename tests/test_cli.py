@@ -767,17 +767,19 @@ class TestPipeline:
         assert (work / "gn.emb").read_bytes() == before
         assert not (work / ".pipeline_state.json").exists()
 
-    @pytest.mark.parametrize("op,flag,value,group,belongs", [
-        ("normalize", "in", "g.emb", "params", "inputs"),  # one file
-        ("fuse", "in", ["a.emb", "b.emb"], "params", "inputs"),  # one or more
-        ("search", "map", "crops.json", "params", "inputs"),  # optional
-        ("coordinate", "missing", "missing.json", "params", "outputs"),  # optional output
-        ("shard", "job-dir", "job", "params", "outputs"),  # a job directory
-        ("normalize", "out", "gn.emb", "inputs", "outputs"),
-        ("cluster", "threshold", 0.8, "inputs", "params"),
-        ("eval", "k", 10, "outputs", "params"),
+    @pytest.mark.parametrize("op,flag,value,group,says", [
+        ("normalize", "in", "g.emb", "params", "of normalize belongs under 'inputs'"),  # one file
+        ("fuse", "in", ["a.emb", "b.emb"], "params", "of fuse belongs under 'inputs'"),  # one or more
+        ("search", "map", "crops.json", "params", "of search belongs under 'inputs'"),  # optional
+        ("coordinate", "missing", "missing.json", "params",
+         "of coordinate belongs under 'outputs'"),  # optional output
+        ("shard", "job-dir", "job", "params", "of shard belongs under 'outputs'"),  # a job directory
+        ("normalize", "out", "gn.emb", "inputs", "of normalize belongs under 'outputs'"),
+        ("cluster", "threshold", 0.8, "inputs", "is not a file flag of cluster"),
+        ("eval", "k", 10, "outputs", "is not a file flag of eval"),
+        ("search", "querys", "q.emb", "inputs", "is not a file flag of search"),  # a misspelling
     ])
-    def test_misfiled_flag_is_3(self, tmp_path, capsys, op, flag, value, group, belongs):
+    def test_misfiled_flag_is_3(self, tmp_path, capsys, op, flag, value, group, says):
         """Each flag's group comes from its op's FILE_FLAGS, never from the
         config; the misfiled step is refused before the step ahead of it runs."""
         gen = {"name": "gen", "op": "gen-synth",
@@ -786,7 +788,7 @@ class TestPipeline:
                "outputs": {"out-gallery": "g.emb", "out-queries": "q.emb", "out-gt": "gt.jsonl"}}
         cfg = self._config(tmp_path, [gen, {"name": "bad", "op": op, group: {flag: value}}])
         assert run(["pipeline", "--config", cfg]) == 3
-        message = f"PipelineConfigError: step 'bad': --{flag} of {op} belongs under {belongs!r}"
+        message = f"PipelineConfigError: step 'bad': --{flag} {says}"
         assert _one_line_error(capsys, message).out == ""
         assert not (tmp_path / "work").exists()
 
